@@ -272,7 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_mflemma(_guard(args.max_size, MF_SWEEP_GUARD))
     elif args.what == "bigdiff":
         _require(args, "n", "rows")
-        report = verify_bigdiff(args.n, args.rows)
+        report = verify_bigdiff(args.n, args.rows, _guard(args.max_size, EXPANSION_GUARD))
     elif args.what == "convexity":
         _require(args, "n")
         report = convexity_report(args.n, _guard(args.max_size, ENUMERATION_GUARD))
@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, help="number of ribbon rows, where applicable")
     p.add_argument("--max-size", type=int, metavar="M",
                    help=f"sweep bound (default {FAMILY_SWEEP_GUARD} for cover families, "
-                        f"{MF_SWEEP_GUARD} for mflemma, {ENUMERATION_GUARD} for convexity)")
+                        f"{MF_SWEEP_GUARD} for mflemma, {ENUMERATION_GUARD} for convexity, "
+                        f"{EXPANSION_GUARD} for bigdiff)")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

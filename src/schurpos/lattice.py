@@ -11,7 +11,7 @@ that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,6 +36,7 @@ from .partitions import (
     reverse,
 )
 from .poset import VerifyReport, compare_diagrams
+from .poset import _cover_lists, _extension_order, _heights, _order_sets
 
 
 def _is_canonical(a: int, b: int, ell: int, nl: int) -> bool:
@@ -253,7 +254,10 @@ def label_of_ribbon(alpha: Iterable[int]) -> RectLabel:
             found.add(canonical_label(big[0], beta[big[0]] - 1, total, ell))
         else:
             found.add(canonical_label(ell - 1, total - ell, total, ell))
-    assert len(found) == 1, f"label candidates disagree for {alpha}"
+    if len(found) != 1:
+        raise RuntimeError(
+            f"label candidates disagree for {alpha}: {sorted(map(str, found))}"
+        )
     return found.pop()
 
 
@@ -274,31 +278,32 @@ def schubert_pair(label: RectLabel) -> tuple[Partition, Partition]:
 
 # --- exact difference formulas for the four cover families -----------------
 
-_FOURCOVERS_HYPOTHESES = {
-    1: "n - 1 > m",
-    2: "n > m and l >= 1",
-    3: "n >= 2 and l > k",
-    4: "m >= 2, n >= 2 and l - 1 > k",
+# One row per cover family of the pattern (m, 1^k, n, 1^l): the hypothesis on
+# (m, k, n, l) and its text; then the two pattern parameters that the
+# alternate pair of onlycovers_pair replaces, keeping their sum, and the least
+# values of that pair.
+_FAMILIES: dict[int, tuple[Callable[..., bool], str, str, tuple[int, int]]] = {
+    1: (lambda m, k, n, l: n - 1 > m, "n - 1 > m", "kl", (0, 0)),
+    2: (lambda m, k, n, l: n > m and l >= 1, "n > m and l >= 1", "kl", (0, 0)),
+    3: (lambda m, k, n, l: n >= 2 and l > k, "n >= 2 and l > k", "mn", (1, 2)),
+    4: (lambda m, k, n, l: m >= 2 and n >= 2 and l - 1 > k,
+        "m >= 2, n >= 2 and l - 1 > k", "mn", (1, 2)),
 }
 
 
-def _fourcovers_ok(case: int, m: int, k: int, n: int, l: int) -> bool:
-    if case == 1:
-        return n - 1 > m
-    if case == 2:
-        return n > m and l >= 1
-    if case == 3:
-        return n >= 2 and l > k
-    return m >= 2 and n >= 2 and l - 1 > k
+def _alt_total(case: int, m: int, k: int, n: int, l: int) -> int:
+    params = {"m": m, "k": k, "n": n, "l": l}
+    return sum(params[name] for name in _FAMILIES[case][2])
 
 
 def _check_fourcovers(case: int, m: int, k: int, n: int, l: int) -> None:
-    if case not in (1, 2, 3, 4):
+    if case not in _FAMILIES:
         raise DomainError(f"case must be 1, 2, 3, or 4, got {case}")
     if m < 1 or n < 1 or k < 0 or l < 0:
         raise DomainError("patterns need m, n >= 1 and k, l >= 0")
-    if not _fourcovers_ok(case, m, k, n, l):
-        raise DomainError(f"case {case} requires {_FOURCOVERS_HYPOTHESES[case]}")
+    holds, hypothesis, _, _ = _FAMILIES[case]
+    if not holds(m, k, n, l):
+        raise DomainError(f"case {case} requires {hypothesis}")
 
 
 def fourcovers_pair(
@@ -345,39 +350,18 @@ def fourcovers_delta(case: int, m: int, k: int, n: int, l: int) -> SchurVector:
 
 # --- certified non-relations ------------------------------------------------
 
-_ONLYCOVERS_HYPOTHESES = {
-    1: "n - 1 > m",
-    2: "n > m and l >= 1",
-    3: "n >= 2, n' >= 2 and l > k",
-    4: "m >= 2, n >= 2, n' >= 2 and l - 1 > k",
-}
-
-
 def _check_onlycovers(
     case: int, m: int, k: int, n: int, l: int, alt: tuple[int, int]
 ) -> None:
-    if case not in (1, 2, 3, 4):
-        raise DomainError(f"case must be 1, 2, 3, or 4, got {case}")
-    if m < 1 or n < 1 or k < 0 or l < 0:
-        raise DomainError("patterns need m, n >= 1 and k, l >= 0")
+    _check_fourcovers(case, m, k, n, l)
+    _, _, (x, y), (least_p, least_q) = _FAMILIES[case]
     p, q = alt
-    if case in (1, 2):
-        if p < 0 or q < 0:
-            raise DomainError("alternate exponents k', l' must be >= 0")
-        if p + q != k + l:
-            raise DomainError(f"case {case} requires k' + l' = k + l")
-        ok = n - 1 > m if case == 1 else (n > m and l >= 1)
-    else:
-        if p < 1 or q < 1:
-            raise DomainError("alternate parts m', n' must be >= 1")
-        if p + q != m + n:
-            raise DomainError(f"case {case} requires m' + n' = m + n")
-        if case == 3:
-            ok = n >= 2 and q >= 2 and l > k
-        else:
-            ok = m >= 2 and n >= 2 and q >= 2 and l - 1 > k
-    if not ok:
-        raise DomainError(f"case {case} requires {_ONLYCOVERS_HYPOTHESES[case]}")
+    if p < least_p or q < least_q:
+        raise DomainError(
+            f"case {case} requires {x}' >= {least_p} and {y}' >= {least_q}"
+        )
+    if p + q != _alt_total(case, m, k, n, l):
+        raise DomainError(f"case {case} requires {x}' + {y}' = {x} + {y}")
 
 
 def onlycovers_pair(
@@ -463,9 +447,9 @@ def verify_fourcovers(max_size: int = 12) -> VerifyReport:
     """Check every closed-form cover difference of total size <= max_size."""
     checked = 0
     bad = []
-    for case in (1, 2, 3, 4):
+    for case, (holds, *_) in _FAMILIES.items():
         for m, k, n, l in _pattern_params(max_size):
-            if not _fourcovers_ok(case, m, k, n, l):
+            if not holds(m, k, n, l):
                 continue
             upper, lower = fourcovers_pair(case, m, k, n, l)
             claimed = fourcovers_delta(case, m, k, n, l)
@@ -484,16 +468,13 @@ def verify_fourcovers(max_size: int = 12) -> VerifyReport:
 def _onlycovers_instances(
     max_size: int,
 ) -> Iterator[tuple[int, int, int, int, int, tuple[int, int]]]:
-    for case in (1, 2, 3, 4):
+    for case, (holds, _, _, (least_p, least_q)) in _FAMILIES.items():
         for m, k, n, l in _pattern_params(max_size):
-            if not _fourcovers_ok(case, m, k, n, l):
+            if not holds(m, k, n, l):
                 continue
-            if case in (1, 2):
-                for kp in range(k + l + 1):
-                    yield case, m, k, n, l, (kp, k + l - kp)
-            else:
-                for mp in range(1, m + n - 1):
-                    yield case, m, k, n, l, (mp, m + n - mp)
+            total = _alt_total(case, m, k, n, l)
+            for p in range(least_p, total - least_q + 1):
+                yield case, m, k, n, l, (p, total - p)
 
 
 def verify_onlycovers(max_size: int = 12) -> VerifyReport:
@@ -607,66 +588,37 @@ def trim_report(n: int, rows: int) -> TrimReport:
     labels = elements(n, rows)
     size = len(labels)
     leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
-
-    succ: list[list[int]] = [[] for _ in range(size)]
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(
-                leq[i][t] and leq[t][j] for t in range(size) if t != i and t != j
-            ):
-                succ[i].append(j)
-                pred[j].append(i)
+    index = {label: i for i, label in enumerate(labels)}
+    pairs = [(index[lo], index[hi]) for lo, hi in covers(n, rows)]
+    succ = _cover_lists(size, pairs)
+    pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
 
     join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
     meet_irr = sum(1 for v in range(size) if len(succ[v]) == 1)
 
-    order = sorted(range(size), key=lambda v: sum(leq[u][v] for u in range(size)))
-    down = [0] * size
-    for v in order:
-        for w in succ[v]:
-            down[w] = max(down[w], down[v] + 1)
-    up = [0] * size
-    for v in reversed(order):
-        for w in pred[v]:
-            up[w] = max(up[w], up[v] + 1)
-    max_len = max(down[v] + up[v] for v in range(size))
-    spine = [v for v in range(size) if down[v] + up[v] == max_len]
+    order = _extension_order(_order_sets(leq)[1])
+    height = _heights(order, succ)
+    depth = _heights(reversed(order), pred)
+    max_len = max(height[v] + depth[v] for v in range(size))
+    spine = [v for v in range(size) if height[v] + depth[v] == max_len]
 
-    modular: dict[int, bool] = {}
+    def left_modular(x: RectLabel) -> bool:
+        return all(
+            meet(join(labels[yi], x), labels[zi])
+            == join(labels[yi], meet(x, labels[zi]))
+            for yi in range(size)
+            for zi in range(size)
+            if yi != zi and leq[yi][zi]
+        )
 
-    def left_modular(v: int) -> bool:
-        if v not in modular:
-            x = labels[v]
-            modular[v] = all(
-                meet(join(labels[yi], x), labels[zi])
-                == join(labels[yi], meet(x, labels[zi]))
-                for yi in range(size)
-                for zi in range(size)
-                if yi != zi and leq[yi][zi]
-            )
-        return modular[v]
-
-    chains: list[tuple[int, ...]] = []
-
-    def walk(v: int, acc: list[int]) -> None:
-        acc.append(v)
-        if up[v] == 0:
-            chains.append(tuple(acc))
-        else:
-            for w in succ[v]:
-                if down[w] == down[v] + 1 and down[w] + up[w] == max_len:
-                    walk(w, acc)
-        acc.pop()
-
-    for v in spine:
-        if down[v] == 0:
-            walk(v, [])
-
-    some_chain = any(all(left_modular(v) for v in chain) for chain in chains)
-    all_spine = all(left_modular(v) for v in spine)
+    modular = {v for v in spine if left_modular(labels[v])}
+    # A longest chain of left-modular elements exists when some reach the top
+    # level, climbing one level per cover through left-modular spine elements.
+    reach = {v for v in modular if height[v] == 0}
+    for level in range(1, max_len + 1):
+        reach = {
+            w for v in reach for w in succ[v] if w in modular and height[w] == level
+        }
 
     spine_labels = [labels[v] for v in spine]
     spine_set = set(spine_labels)
@@ -679,4 +631,6 @@ def trim_report(n: int, rows: int) -> TrimReport:
         for y, z in combinations(spine_labels, 2)
     )
 
-    return TrimReport(join_irr, meet_irr, max_len + 1, some_chain, all_spine, distributive)
+    return TrimReport(
+        join_irr, meet_irr, max_len + 1, bool(reach), len(modular) == len(spine), distributive
+    )

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .diagrams import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -68,13 +69,74 @@ def compare_diagrams(
     if not a_over_b and not b_over_a:
         return ComparisonResult(Relation.INCOMPARABLE)
     result = compare_vectors(expand(a, max_size), expand(b, max_size))
-    if result.relation is Relation.GREATER:
-        assert a_over_b
-    elif result.relation is Relation.LESS:
-        assert b_over_a
-    elif result.relation is Relation.EQUAL:
-        assert a_over_b and b_over_a
+    rel = result.relation
+    if (rel in (Relation.GREATER, Relation.EQUAL) and not a_over_b) or (
+        rel in (Relation.LESS, Relation.EQUAL) and not b_over_a
+    ):
+        raise RuntimeError(
+            f"necessary_filter refuted {a!r} vs {b!r}, which compare as {rel.value}"
+        )
     return result
+
+
+# --- finite orders ---------------------------------------------------------
+# Elements are 0..n-1 and a set of elements is an int bitmask.
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Elements of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _order_sets(leq: Sequence[Sequence[bool]]) -> tuple[list[int], list[int]]:
+    """Up-set and down-set bitmasks of each element of a reflexive order."""
+    bits = [1 << i for i in range(len(leq))]
+    up = [sum(compress(bits, row)) for row in leq]
+    down = [sum(compress(bits, col)) for col in zip(*leq)]
+    return up, down
+
+
+def _covers(up: list[int], down: list[int]) -> list[tuple[int, int]]:
+    """Cover pairs (lower, upper) in increasing order: the transitive
+    reduction of Aho, Garey and Ullman, where i < j is a cover exactly when
+    the interval [i, j] holds nothing else."""
+    return [
+        (i, j)
+        for i, above in enumerate(up)
+        for j in _bits(above)
+        if j != i and above & down[j] == (1 << i) | (1 << j)
+    ]
+
+
+def _cover_lists(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Successor lists of the elements 0..size-1 under the given pairs."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for lo, hi in pairs:
+        succ[lo].append(hi)
+    return succ
+
+
+def _extension_order(down: list[int]) -> list[int]:
+    """A linear extension: elements sorted by the size of their down-set."""
+    return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+
+
+def _heights(order: Iterable[int], succ: Sequence[Sequence[int]]) -> list[int]:
+    """Covers on a longest chain ending at each element, where `order` lists
+    the elements considered in a linear extension and chains stay among them.
+
+    With the reversed extension and predecessor lists this gives the covers on
+    a longest chain starting at each element.  Elements left out stay at 0.
+    """
+    height = [0] * len(succ)
+    for v in order:
+        for w in succ[v]:
+            if height[w] <= height[v]:
+                height[w] = height[v] + 1
+    return height
 
 
 @dataclass(frozen=True)
@@ -145,58 +207,36 @@ def build_poset(
             elif rel is Relation.GREATER:
                 leq[j][i] = True
 
-    hasse = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(leq[i][k] and leq[k][j] for k in range(n) if k != i and k != j):
-                hasse.append((i, j))
-
     return PosetModel(
         classes,
         tuple(tuple(row) for row in leq),
-        tuple(sorted(hasse)),
+        tuple(_covers(*_order_sets(leq))),
     )
-
-
-def _linear_extension(model: PosetModel) -> list[int]:
-    n = len(model)
-    return sorted(range(n), key=lambda i: sum(model.leq[j][i] for j in range(n)))
 
 
 def check_graded(model: PosetModel) -> bool:
     """Whether all maximal chains between any two comparable elements have
     equal length."""
-    n = len(model)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in model.hasse:
-        succ[lo].append(hi)
-    order = _linear_extension(model)
-    for x in range(n):
-        longest = {x: 0}
-        shortest = {x: 0}
-        for v in order:
-            if v not in longest:
-                continue
-            for w in succ[v]:
-                longest[w] = max(longest.get(w, 0), longest[v] + 1)
-                shortest[w] = min(shortest.get(w, n + 1), shortest[v] + 1)
-        for y in range(n):
-            if y != x and model.leq[x][y] and longest[y] != shortest[y]:
-                return False
+    up, down = _order_sets(model.leq)
+    succ = _cover_lists(len(model), model.hasse)
+    order = _extension_order(down)
+    # All saturated chains from x to each y above it have one length exactly
+    # when every cover v < w above x adds one to the longest chain from x.
+    for above in up:
+        members = [v for v in order if above >> v & 1]
+        height = _heights(members, succ)
+        if any(height[w] != height[v] + 1 for v in members for w in succ[v]):
+            return False
     return True
 
 
 def check_join_semilattice(model: PosetModel) -> bool:
     """Whether every pair with a common upper bound has a least one."""
-    n = len(model)
-    for i in range(n):
-        for j in range(i, n):
-            uppers = [k for k in range(n) if model.leq[i][k] and model.leq[j][k]]
-            if uppers and not any(
-                all(model.leq[u][k] for k in uppers) for u in uppers
-            ):
+    up, _ = _order_sets(model.leq)
+    for i, above_i in enumerate(up):
+        for above_j in up[i:]:
+            uppers = above_i & above_j
+            if uppers and not any(up[u] & uppers == uppers for u in _bits(uppers)):
                 return False
     return True
 
@@ -204,16 +244,12 @@ def check_join_semilattice(model: PosetModel) -> bool:
 def check_convex(model: PosetModel, member: Callable[[SchurClass], bool]) -> bool:
     """Whether the classes satisfying the predicate form a convex subposet:
     no outside class sits strictly between two member classes."""
-    n = len(model)
-    flags = [member(cls) for cls in model.classes]
-    for b in range(n):
-        if flags[b]:
-            continue
-        below = any(flags[a] and a != b and model.leq[a][b] for a in range(n))
-        above = any(flags[c] and c != b and model.leq[b][c] for c in range(n))
-        if below and above:
-            return False
-    return True
+    up, down = _order_sets(model.leq)
+    members = sum(1 << i for i, cls in enumerate(model.classes) if member(cls))
+    return not any(
+        not members >> b & 1 and down[b] & members and up[b] & members
+        for b in range(len(model))
+    )
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,18 @@ def test_verify_small_sweeps(capsys):
     assert out == "checked 13 instances: OK\n"
 
 
+def test_verify_bigdiff_respects_the_size_guard(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "bigdiff", "--n", "8", "--rows", "4", "--max-size", "6")
+    assert code == 1
+    assert out == ""
+    assert "expansion limited to 6 cells, got 8" in err
+
+    monkeypatch.setenv("SCHURPOS_MAX_SIZE", "6")
+    code, _, err = run(capsys, "verify", "bigdiff", "--n", "8", "--rows", "4")
+    assert code == 1
+    assert "expansion limited to 6 cells, got 8" in err
+
+
 def test_verify_trim_output(capsys):
     code, out, _ = run(capsys, "verify", "trim", "--n", "12", "--rows", "6")
     assert code == 0

@@ -1,6 +1,7 @@
 """Closed-form model of the multiplicity-free ribbon poset."""
 
 import pytest
+from order_reference import trim_flags
 
 from schurpos import (
     DomainError,
@@ -337,6 +338,27 @@ def test_onlycovers_evidence_kinds():
     assert onlycovers_witness(4, 2, 0, 2, 2, alt=(2, 2)).kind == "coefficient"
 
 
+def test_onlycovers_rejects_broken_hypotheses_and_alternates():
+    bad = [
+        ((5, 1, 0, 3, 0, (0, 0)), "case must be"),
+        ((1, 0, 0, 3, 0, (0, 0)), "m, n >= 1"),
+        ((1, 3, 0, 3, 0, (0, 0)), "case 1 requires n - 1 > m"),
+        ((2, 1, 0, 2, 0, (0, 0)), "case 2 requires n > m and l >= 1"),
+        ((3, 2, 1, 2, 1, (2, 2)), "case 3 requires n >= 2 and l > k"),
+        ((4, 1, 0, 2, 2, (1, 2)), "case 4 requires m >= 2, n >= 2 and l - 1 > k"),
+        ((1, 1, 0, 3, 0, (1, 0)), r"case 1 requires k' \+ l' = k \+ l"),
+        ((2, 1, 0, 2, 1, (-1, 2)), "case 2 requires k' >= 0 and l' >= 0"),
+        ((3, 2, 0, 2, 1, (3, 2)), r"case 3 requires m' \+ n' = m \+ n"),
+        ((3, 2, 0, 2, 1, (3, 1)), "case 3 requires m' >= 1 and n' >= 2"),
+        ((4, 2, 0, 2, 2, (0, 4)), "case 4 requires m' >= 1 and n' >= 2"),
+    ]
+    for (case, m, k, n, l, alt), message in bad:
+        with pytest.raises(DomainError, match=message):
+            onlycovers_pair(case, m, k, n, l, alt)
+        with pytest.raises(DomainError, match=message):
+            onlycovers_witness(case, m, k, n, l, alt)
+
+
 def test_onlycovers_sweep():
     report = verify_onlycovers(10)
     assert report.ok, report.disagreements
@@ -386,3 +408,19 @@ def test_trim_boundary_sizes_collapse_to_chains():
             assert report.join_irreducibles == chain - 1
             assert report.meet_irreducibles == chain - 1
             assert report.left_modular_max_chain
+
+
+def test_trim_report_matches_brute_force_longest_chains():
+    for n in range(5, 13):
+        for rows in range(2, n):
+            labels = elements(n, rows)
+            leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
+            report = trim_report(n, rows)
+            assert trim_flags(leq) == (
+                report.join_irreducibles,
+                report.meet_irreducibles,
+                report.longest_chain_elements,
+                report.left_modular_max_chain,
+                report.spine_left_modular,
+                report.spine_distributive,
+            ), (n, rows)

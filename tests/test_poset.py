@@ -1,11 +1,18 @@
 """The Schur-positivity order on skew shapes and its finite posets."""
 
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from order_reference import is_convex, is_graded, is_join_semilattice
+
+import schurpos
 from schurpos import (
     DomainError,
     Relation,
     build_poset,
+    check_convex,
     check_graded,
     check_join_semilattice,
     compare_diagrams,
@@ -79,6 +86,38 @@ def test_compare_diagrams_known_strict_pair():
     result = compare_diagrams(SkewDiagram((3, 2, 1), (2, 1)), SkewDiagram((2, 2), (1,)))
     assert result.relation is Relation.GREATER
     assert result.difference == SchurVector({(3,): 1, (2, 1): 1, (1, 1, 1): 1})
+
+
+def test_unsound_filter_raises_even_under_python_O():
+    # The soundness checks must not be asserts, which -O strips.
+    script = """
+import schurpos.lattice as lattice
+import schurpos.poset as poset
+from schurpos import SkewDiagram, elements
+
+sound = poset.necessary_filter
+poset.necessary_filter = lambda a, b: not sound(a, b)
+try:
+    poset.compare_diagrams(SkewDiagram((3, 2, 1), (2, 1)), SkewDiagram((2, 2), (1,)))
+except RuntimeError as exc:
+    print("compare:", exc)
+
+labels = iter(elements(8, 4))
+lattice.canonical_label = lambda *args: next(labels)
+try:
+    lattice.label_of_ribbon((1, 2))
+except RuntimeError as exc:
+    print("label:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurpos.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2, result.stdout
+    assert lines[0].startswith("compare: necessary_filter refuted")
+    assert lines[1].startswith("label: label candidates disagree for (1, 2)")
 
 
 def test_compare_diagrams_size_mismatch():
@@ -156,15 +195,16 @@ def test_poset_leq_is_reflexive_antisymmetric_transitive():
 
 
 def test_hasse_is_the_transitive_reduction():
-    model = known_poset(4)
-    k = len(model)
-    strict = {(i, j) for i in range(k) for j in range(k) if i != j and model.leq[i][j]}
-    expected = {
-        (i, j)
-        for i, j in strict
-        if not any((i, t) in strict and (t, j) in strict for t in range(k))
-    }
-    assert set(model.hasse) == expected
+    for n in (4, 5, 6):
+        model = known_poset(n)
+        k = len(model)
+        strict = {(i, j) for i in range(k) for j in range(k) if i != j and model.leq[i][j]}
+        expected = {
+            (i, j)
+            for i, j in strict
+            if not any((i, t) in strict and (t, j) in strict for t in range(k))
+        }
+        assert list(model.hasse) == sorted(expected)
 
 
 def test_index_of_finds_members():
@@ -184,6 +224,39 @@ def test_gradedness_flips_between_sizes_four_and_five():
 def test_join_semilattice_flips_between_sizes_five_and_six():
     assert check_join_semilattice(known_poset(5))
     assert not check_join_semilattice(known_poset(6))
+
+
+def test_graded_and_join_checks_match_brute_force():
+    # All skew shapes of 4..6 cells, and the ribbons of 8 cells by row count.
+    models = [known_poset(n) for n in (4, 5, 6)] + [
+        build_poset([ribbon_of(c) for c in compositions_of(8) if len(c) == rows])
+        for rows in (2, 3, 4, 5)
+    ]
+    seen = set()
+    for model in models:
+        graded = is_graded(model.leq)
+        join = is_join_semilattice(model.leq)
+        assert check_graded(model) == graded
+        assert check_join_semilattice(model) == join
+        seen.add((graded, join))
+    assert {g for g, _ in seen} == {j for _, j in seen} == {True, False}
+
+
+def test_check_convex_rejects_gaps():
+    # A comparable pair is convex exactly when it is a cover (or one class).
+    model = known_poset(4)
+    k = len(model)
+    verdicts = set()
+    for i in range(k):
+        for j in range(k):
+            if not model.leq[i][j]:
+                continue
+            expected = is_convex(model.leq, {i, j})
+            assert expected == (i == j or (i, j) in model.hasse)
+            members = {model.classes[i], model.classes[j]}
+            assert check_convex(model, members.__contains__) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_ribbon_poset_with_fixed_rows():
