@@ -41,6 +41,7 @@ EXPANSION_GUARD = 14
 ENUMERATION_GUARD = 7
 FAMILY_SWEEP_GUARD = 12
 MF_SWEEP_GUARD = 10
+TRIM_GUARD = 24
 
 
 class ParseError(DomainError):
@@ -278,6 +279,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = convexity_report(args.n, _guard(args.max_size, ENUMERATION_GUARD))
     else:
         _require(args, "n", "rows")
+        guard = _guard(args.max_size, TRIM_GUARD)
+        if args.n > guard:
+            raise DomainError(f"trim statistics are limited to size {guard}, got {args.n}")
         result = trim_report(args.n, args.rows)
         print(f"join-irreducibles: {result.join_irreducibles}")
         print(f"meet-irreducibles: {result.meet_irreducibles}")
@@ -348,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, metavar="M",
                    help=f"sweep bound (default {FAMILY_SWEEP_GUARD} for cover families, "
                         f"{MF_SWEEP_GUARD} for mflemma, {ENUMERATION_GUARD} for convexity, "
-                        f"{EXPANSION_GUARD} for bigdiff)")
+                        f"{EXPANSION_GUARD} for bigdiff, {TRIM_GUARD} for trim)")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .diagrams import mf_pattern, profile, ribbon_of
 from .errors import DomainError
@@ -35,8 +34,7 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import VerifyReport, compare_diagrams
-from .poset import _cover_lists, _extension_order, _heights, _order_sets
+from .poset import VerifyReport, _trim_stats, compare_diagrams
 
 
 def _is_canonical(a: int, b: int, ell: int, nl: int) -> bool:
@@ -112,24 +110,16 @@ def elements(n: int, rows: int) -> list[RectLabel]:
     ]
 
 
-def chain_rank(kind: str, x: int, n: int, rows: int) -> int:
-    """Height of x in the zigzag chain ordering the labels' coordinates.
+def _rank(x: int, top: int) -> int:
+    """Height of x in the zigzag chain on 1..top.
 
-    The 'h' chain orders 1..rows-1 by closeness to the middle of that range,
-    ties broken toward the left half sitting lower; 'w' does the same for
-    1..n-rows.  Any fixed tie-break offset in (0, 1/2) yields these ranks, so
-    they are computed with the offset 1/4, scaled by 4 to stay integral.
+    A label's a lies on the chain with top = rows - 1, its b on the one with
+    top = n - rows.  The chain orders 1..top by closeness to the middle of
+    that range; of two values equally close, the larger sits lower.  Any
+    fixed tie-break offset in (0, 1/2) yields these ranks, so they are
+    computed with the offset 1/4, scaled by 4 to stay integral.
     """
-    if kind == "h":
-        if not 1 <= x <= rows - 1:
-            raise DomainError(f"h-chain needs 1 <= x <= rows - 1, got {x}")
-        return -abs(4 * x - (2 * rows - 1))
-    if kind == "w":
-        nl = n - rows
-        if not 1 <= x <= nl:
-            raise DomainError(f"w-chain needs 1 <= x <= n - rows, got {x}")
-        return -abs(4 * x - (2 * nl + 1))
-    raise DomainError(f"chain kind must be 'h' or 'w', got {kind!r}")
+    return -abs(4 * x - 2 * top - 1)
 
 
 def _same_context(l1: RectLabel, l2: RectLabel) -> None:
@@ -142,19 +132,17 @@ def _same_context(l1: RectLabel, l2: RectLabel) -> None:
 def leq_s_closed(l1: RectLabel, l2: RectLabel) -> bool:
     """Closed-form Schur-positivity comparison: componentwise in chain rank."""
     _same_context(l1, l2)
-    n, rows = l1.n, l1.rows
-    return chain_rank("h", l1.a, n, rows) <= chain_rank("h", l2.a, n, rows) and chain_rank(
-        "w", l1.b, n, rows
-    ) <= chain_rank("w", l2.b, n, rows)
+    h, w = l1.rows - 1, l1.n - l1.rows
+    return _rank(l1.a, h) <= _rank(l2.a, h) and _rank(l1.b, w) <= _rank(l2.b, w)
 
 
 def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
     """Least upper bound: componentwise maximum in chain rank."""
     _same_context(l1, l2)
-    n, rows = l1.n, l1.rows
-    a = max(l1.a, l2.a, key=lambda x: chain_rank("h", x, n, rows))
-    b = max(l1.b, l2.b, key=lambda x: chain_rank("w", x, n, rows))
-    return canonical_label(a, b, n, rows)
+    h, w = l1.rows - 1, l1.n - l1.rows
+    a = max(l1.a, l2.a, key=lambda x: _rank(x, h))
+    b = max(l1.b, l2.b, key=lambda x: _rank(x, w))
+    return canonical_label(a, b, l1.n, l1.rows)
 
 
 def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
@@ -165,51 +153,45 @@ def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
     identification before the label is read off.
     """
     _same_context(l1, l2)
-    n, rows = l1.n, l1.rows
-    ell, nl = rows, n - rows
-    a = min(l1.a, l2.a, key=lambda x: chain_rank("h", x, n, rows))
-    b = min(l1.b, l2.b, key=lambda x: chain_rank("w", x, n, rows))
-    if a == ell - 1 and 2 * b > nl:
-        a, b = ell - 1, nl - b
-    elif b == nl and 2 * a > ell - 1:
-        a, b = ell - 1 - a, b
-    return canonical_label(a, b, n, rows)
+    h, w = l1.rows - 1, l1.n - l1.rows
+    a = min(l1.a, l2.a, key=lambda x: _rank(x, h))
+    b = min(l1.b, l2.b, key=lambda x: _rank(x, w))
+    if a == h and 2 * b > w:
+        b = w - b
+    elif b == w and 2 * a > h:
+        a = h - a
+    return canonical_label(a, b, l1.n, l1.rows)
 
 
-def _chain(kind: str, n: int, rows: int) -> list[int]:
-    top = rows - 1 if kind == "h" else n - rows
-    return sorted(range(1, top + 1), key=lambda x: chain_rank(kind, x, n, rows))
+def _chain(top: int) -> list[int]:
+    """1..top listed from the bottom of the zigzag chain to its top."""
+    return sorted(range(1, top + 1), key=lambda x: _rank(x, top))
 
 
 def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
     """Cover pairs (lower, upper) of the label poset, in closed form.
 
-    Five families: steps along the right boundary, h-chain steps at a fixed
-    interior b, steps along the bottom boundary, w-chain steps at a fixed
-    interior a, and the two covers of the bottom class.
+    Five families: steps along the right boundary, steps of a along its chain
+    at a fixed interior b, steps along the bottom boundary, steps of b along
+    its chain at a fixed interior a, and the two covers of the bottom class.
     """
     ell, nl = rows, n - rows
+    labels = {(x.a, x.b): x for x in elements(n, rows)}
     edges: set[tuple[RectLabel, RectLabel]] = set()
 
     def add(lo: tuple[int, int], hi: tuple[int, int]) -> None:
-        if (
-            lo != hi
-            and _is_canonical(*lo, ell, nl)
-            and _is_canonical(*hi, ell, nl)
-        ):
-            edges.add(
-                (RectLabel(*lo, n, rows), RectLabel(*hi, n, rows))
-            )
+        if lo != hi and lo in labels and hi in labels:
+            edges.add((labels[lo], labels[hi]))
 
     for a in range(1, (ell - 1) // 2):
         add((a, nl), (a + 1, nl))
     for b in range(1, nl // 2):
         add((ell - 1, b), (ell - 1, b + 1))
-    h_chain = _chain("h", n, rows)
+    h_chain = _chain(ell - 1)
     for a1, a2 in zip(h_chain, h_chain[1:]):
         for b in range(1, nl):
             add((a1, b), (a2, b))
-    w_chain = _chain("w", n, rows)
+    w_chain = _chain(nl)
     for b1, b2 in zip(w_chain, w_chain[1:]):
         for a in range(1, ell - 1):
             add((a, b1), (a, b2))
@@ -586,51 +568,9 @@ def trim_report(n: int, rows: int) -> TrimReport:
     sublattice.
     """
     labels = elements(n, rows)
-    size = len(labels)
-    leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
     index = {label: i for i, label in enumerate(labels)}
+    leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
+    meets = [[index[meet(x, y)] for y in labels] for x in labels]
+    joins = [[index[join(x, y)] for y in labels] for x in labels]
     pairs = [(index[lo], index[hi]) for lo, hi in covers(n, rows)]
-    succ = _cover_lists(size, pairs)
-    pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
-
-    join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
-    meet_irr = sum(1 for v in range(size) if len(succ[v]) == 1)
-
-    order = _extension_order(_order_sets(leq)[1])
-    height = _heights(order, succ)
-    depth = _heights(reversed(order), pred)
-    max_len = max(height[v] + depth[v] for v in range(size))
-    spine = [v for v in range(size) if height[v] + depth[v] == max_len]
-
-    def left_modular(x: RectLabel) -> bool:
-        return all(
-            meet(join(labels[yi], x), labels[zi])
-            == join(labels[yi], meet(x, labels[zi]))
-            for yi in range(size)
-            for zi in range(size)
-            if yi != zi and leq[yi][zi]
-        )
-
-    modular = {v for v in spine if left_modular(labels[v])}
-    # A longest chain of left-modular elements exists when some reach the top
-    # level, climbing one level per cover through left-modular spine elements.
-    reach = {v for v in modular if height[v] == 0}
-    for level in range(1, max_len + 1):
-        reach = {
-            w for v in reach for w in succ[v] if w in modular and height[w] == level
-        }
-
-    spine_labels = [labels[v] for v in spine]
-    spine_set = set(spine_labels)
-    distributive = all(
-        meet(x, y) in spine_set and join(x, y) in spine_set
-        for x, y in combinations(spine_labels, 2)
-    ) and all(
-        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
-        for x in spine_labels
-        for y, z in combinations(spine_labels, 2)
-    )
-
-    return TrimReport(
-        join_irr, meet_irr, max_len + 1, bool(reach), len(modular) == len(spine), distributive
-    )
+    return TrimReport(*_trim_stats(leq, pairs, meets, joins))

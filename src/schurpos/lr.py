@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -91,16 +91,6 @@ class ComparisonResult:
 
     relation: Relation
     difference: SchurVector | None = None
-
-
-def is_lattice_word(word: Sequence[int]) -> bool:
-    """Whether every prefix has at least as many i's as (i+1)'s for all i."""
-    counts: dict[int, int] = {}
-    for letter in word:
-        counts[letter] = counts.get(letter, 0) + 1
-        if letter > 1 and counts.get(letter - 1, 0) < counts[letter]:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

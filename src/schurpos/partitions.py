@@ -63,11 +63,6 @@ def reverse(alpha: Iterable[int]) -> Composition:
     return tuple(reversed(as_composition(alpha)))
 
 
-def sort_to_partition(alpha: Iterable[int]) -> Partition:
-    """Multiset of parts of a composition as a partition."""
-    return tuple(sorted(as_composition(alpha), reverse=True))
-
-
 def compositions_of(n: int, length: int | None = None) -> Iterator[Composition]:
     """Yield compositions of n (optionally with a fixed number of parts) in lex order."""
     if n < 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 
 from .diagrams import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -137,6 +137,54 @@ def _heights(order: Iterable[int], succ: Sequence[Sequence[int]]) -> list[int]:
             if height[w] <= height[v]:
                 height[w] = height[v] + 1
     return height
+
+
+def _trim_stats(
+    leq: Sequence[Sequence[bool]],
+    pairs: Sequence[tuple[int, int]],
+    meet: Sequence[Sequence[int]],
+    join: Sequence[Sequence[int]],
+) -> tuple[int, int, int, bool, bool, bool]:
+    """Trim statistics of a finite lattice given by its reflexive order, its
+    cover pairs (lower, upper) and its meet and join tables.
+
+    Returns the numbers of join- and meet-irreducibles and of elements on a
+    longest chain; whether some longest chain is all left modular; whether
+    every element on a longest chain (the spine) is left modular; and whether
+    the spine is a distributive sublattice.
+    """
+    size = len(leq)
+    succ = _cover_lists(size, pairs)
+    pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
+    join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
+    meet_irr = sum(1 for v in range(size) if len(succ[v]) == 1)
+
+    order = _extension_order(_order_sets(leq)[1])
+    height = _heights(order, succ)
+    depth = _heights(reversed(order), pred)
+    max_len = max(height[v] + depth[v] for v in range(size))
+    spine = [v for v in range(size) if height[v] + depth[v] == max_len]
+
+    # x is left modular when (y v x) ^ z == y v (x ^ z) for all y < z.
+    below = [(y, z) for y in range(size) for z in range(size) if y != z and leq[y][z]]
+    modular = {
+        x for x in spine if all(meet[join[y][x]][z] == join[y][meet[x][z]] for y, z in below)
+    }
+    # A longest chain of left-modular elements exists when some reach the top
+    # level, climbing one level per cover through left-modular spine elements.
+    reach = {v for v in modular if height[v] == 0}
+    for level in range(1, max_len + 1):
+        reach = {w for v in reach for w in succ[v] if w in modular and height[w] == level}
+
+    in_spine = set(spine)
+    distributive = all(
+        meet[x][y] in in_spine and join[x][y] in in_spine for x, y in combinations(spine, 2)
+    ) and all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in spine
+        for y, z in combinations(spine, 2)
+    )
+    return join_irr, meet_irr, max_len + 1, bool(reach), len(modular) == len(spine), distributive
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,23 @@ def test_verify_trim_output(capsys):
     ]
 
 
+def test_verify_trim_respects_the_size_guard(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "trim", "--n", "12", "--rows", "6", "--max-size", "10")
+    assert code == 1
+    assert out == ""
+    assert "trim statistics are limited to size 10, got 12" in err
+
+    monkeypatch.setenv("SCHURPOS_MAX_SIZE", "10")
+    code, _, err = run(capsys, "verify", "trim", "--n", "12", "--rows", "6")
+    assert code == 1
+    assert "trim statistics are limited to size 10, got 12" in err
+
+    monkeypatch.delenv("SCHURPOS_MAX_SIZE")
+    code, _, err = run(capsys, "verify", "trim", "--n", "25", "--rows", "12")
+    assert code == 1
+    assert "trim statistics are limited to size 24, got 25" in err
+
+
 def test_verify_missing_context_exits_two(capsys):
     code, _, err = run(capsys, "verify", "bigdiff")
     assert code == 2

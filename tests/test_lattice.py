@@ -9,7 +9,6 @@ from schurpos import (
     Relation,
     SchurVector,
     canonical_label,
-    chain_rank,
     compare_diagrams,
     covers,
     elements,
@@ -32,6 +31,7 @@ from schurpos import (
     verify_mflemma,
     verify_onlycovers,
 )
+from schurpos.lattice import _chain, _rank
 from schurpos.partitions import compositions_of, reverse
 
 
@@ -52,6 +52,8 @@ def test_element_context_validation():
         elements(3, 3)
     with pytest.raises(DomainError, match="2 <= rows <= n - 1"):
         RectLabel(1, 1, 3, 3)
+    with pytest.raises(DomainError, match="2 <= rows <= n - 1"):
+        covers(2, 2)
 
 
 def test_non_canonical_labels_are_rejected():
@@ -87,28 +89,15 @@ def test_label_str():
 
 
 def test_chain_orders_match_known_sequences():
-    h = sorted(range(1, 6), key=lambda x: chain_rank("h", x, 12, 6))
-    assert h == [5, 1, 4, 2, 3]
-    w = sorted(range(1, 7), key=lambda x: chain_rank("w", x, 12, 6))
-    assert w == [6, 1, 5, 2, 4, 3]
+    # The two chains of the (12, 6) lattice: a on 1..5 and b on 1..6.
+    assert _chain(5) == [5, 1, 4, 2, 3]
+    assert _chain(6) == [6, 1, 5, 2, 4, 3]
 
 
 def test_chain_ranks_are_injective():
-    for n in range(4, 16):
-        for rows in range(2, n):
-            hs = [chain_rank("h", x, n, rows) for x in range(1, rows)]
-            ws = [chain_rank("w", x, n, rows) for x in range(1, n - rows + 1)]
-            assert len(set(hs)) == len(hs)
-            assert len(set(ws)) == len(ws)
-
-
-def test_chain_rank_validation():
-    with pytest.raises(DomainError, match="h-chain needs"):
-        chain_rank("h", 6, 12, 6)
-    with pytest.raises(DomainError, match="w-chain needs"):
-        chain_rank("w", 0, 12, 6)
-    with pytest.raises(DomainError, match="chain kind"):
-        chain_rank("x", 1, 12, 6)
+    for top in range(1, 14):
+        ranks = [_rank(x, top) for x in range(1, top + 1)]
+        assert len(set(ranks)) == len(ranks)
 
 
 # --- label/ribbon dictionary ----------------------------------------------

@@ -10,7 +10,6 @@ from schurpos import (
     compare_vectors,
     enumerate_basic_skew,
     expand,
-    is_lattice_word,
     is_multiplicity_free_vec,
     omega_vec,
     ribbon_of,
@@ -76,15 +75,6 @@ def test_multiplicity_free_vec():
 
 
 # --- lattice words -------------------------------------------------------
-
-
-def test_is_lattice_word():
-    assert is_lattice_word(())
-    assert is_lattice_word((1, 1, 2, 1, 3, 2))
-    assert not is_lattice_word((2,))
-    assert not is_lattice_word((1, 2, 2))
-    assert is_lattice_word((1, 2, 1, 2))
-    assert not is_lattice_word((1, 2, 3, 3))
 
 
 # --- expansion -----------------------------------------------------------

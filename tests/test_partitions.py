@@ -11,7 +11,6 @@ from schurpos.partitions import (
     dominance_leq,
     partitions_of,
     reverse,
-    sort_to_partition,
 )
 
 
@@ -78,7 +77,6 @@ def test_conjugate_reverses_dominance():
 
 def test_reverse_and_sort():
     assert reverse((2, 1, 3)) == (3, 1, 2)
-    assert sort_to_partition((2, 1, 3)) == (3, 2, 1)
 
 
 def test_compositions_of_counts():

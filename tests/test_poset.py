@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from order_reference import is_convex, is_graded, is_join_semilattice
+from order_reference import covers, is_convex, is_graded, is_join_semilattice, least, trim_flags
 
 import schurpos
 from schurpos import (
@@ -26,6 +26,7 @@ from schurpos import (
     ribbon_of,
 )
 from schurpos.partitions import compositions_of, dominance_leq, partitions_of, reverse
+from schurpos.poset import _trim_stats
 
 
 # --- the necessary filter ------------------------------------------------
@@ -257,6 +258,53 @@ def test_check_convex_rejects_gaps():
             assert check_convex(model, members.__contains__) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def lattice_tables(edges):
+    """Order, cover pairs, and meet and join tables of the lattice whose
+    covers are `edges`, with bounds found by order_reference.least."""
+    size = 1 + max(hi for _, hi in edges)
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for lo, hi in edges:
+        leq[lo][hi] = True
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    geq = [list(col) for col in zip(*leq)]
+    everything = range(size)
+    join = [
+        [least(leq, [k for k in everything if leq[x][k] and leq[y][k]]) for y in everything]
+        for x in everything
+    ]
+    meet = [
+        [least(geq, [k for k in everything if leq[k][x] and leq[k][y]]) for y in everything]
+        for x in everything
+    ]
+    assert covers(leq) == set(edges)
+    return leq, sorted(edges), meet, join
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # The hexagon: two chains of three covers, nothing left modular
+        # strictly between the bounds.
+        ([(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)], (4, 4, 4, False, False, False)),
+        # M3: modular, and all of it is spine, but it is not distributive.
+        ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], (3, 3, 3, True, True, False)),
+        # Eight elements: one longest chain is left modular, the spine is not.
+        (
+            [(0, 1), (0, 3), (1, 2), (1, 4), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)],
+            (5, 4, 5, True, False, False),
+        ),
+    ],
+    ids=["hexagon", "M3", "eight"],
+)
+def test_trim_stats_match_brute_force_where_the_flags_fail(edges, expected):
+    tables = lattice_tables(edges)
+    assert trim_flags(tables[0]) == expected
+    assert _trim_stats(*tables) == expected
 
 
 def test_ribbon_poset_with_fixed_rows():
