@@ -124,6 +124,17 @@ def parse_label(text: str, n: int, rows: int) -> RectLabel:
     return RectLabel(a, b, n, rows)
 
 
+def _positive(text: str) -> int:
+    """Argparse type for sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _guard(value: int | None, default: int) -> int:
     if value is not None:
         return value
@@ -131,11 +142,14 @@ def _guard(value: int | None, default: int) -> int:
     if env is None:
         return default
     try:
-        return int(env)
+        guard = int(env)
     except ValueError:
         raise DomainError(
             f"SCHURPOS_MAX_SIZE must be an integer, got {env!r}"
         ) from None
+    if guard < 1:
+        raise DomainError(f"SCHURPOS_MAX_SIZE must be at least 1, got {guard}")
+    return guard
 
 
 def _key(parts: Sequence[int]) -> str:
@@ -309,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Schur expansion of a shape, as JSON")
     p.add_argument("shape", help=shape_help)
-    p.add_argument("--max-size", type=int, metavar="M",
+    p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"largest shape to expand (default {EXPANSION_GUARD})")
     p.set_defaults(handler=_cmd_expand)
 
@@ -318,12 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help=shape_help)
     p.add_argument("--show-difference", action="store_true",
                    help="also print the positive difference as JSON")
-    p.add_argument("--max-size", type=int, metavar="M",
+    p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"largest shape to expand (default {EXPANSION_GUARD})")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("poset", help="build a Schur-positivity poset")
-    p.add_argument("--n", type=int, required=True, help="number of cells")
+    p.add_argument("--n", type=_positive, required=True, help="number of cells")
     p.add_argument("--ribbons", action="store_true",
                    help="use ribbons of size n instead of all basic skew shapes")
     p.add_argument("--rows", type=int, help="keep only ribbons with this many rows")
@@ -332,13 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--label-style", choices=("comp", "rect"), default="comp",
                    help="dot node labels: row-length composition or rectangle label")
-    p.add_argument("--max-size", type=int, metavar="M",
+    p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"size guard (default {EXPANSION_GUARD} for ribbons, "
                         f"{ENUMERATION_GUARD} for the full poset)")
     p.set_defaults(handler=_cmd_poset)
 
     p = sub.add_parser("mf", help="closed-form multiplicity-free ribbon poset")
-    p.add_argument("--n", type=int, required=True, help="number of cells")
+    p.add_argument("--n", type=_positive, required=True, help="number of cells")
     p.add_argument("--rows", type=int, required=True, help="number of ribbon rows")
     p.add_argument("action", choices=("list", "covers", "leq", "meet", "join", "schubert"))
     p.add_argument("labels", nargs="*", help="rectangle labels such as '[3,5]' or '3,5'")
@@ -347,9 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check closed forms against expansions")
     p.add_argument("what", choices=("fourcovers", "onlycovers", "bigdiff",
                                     "convexity", "trim", "mflemma"))
-    p.add_argument("--n", type=int, help="number of cells, where applicable")
+    p.add_argument("--n", type=_positive, help="number of cells, where applicable")
     p.add_argument("--rows", type=int, help="number of ribbon rows, where applicable")
-    p.add_argument("--max-size", type=int, metavar="M",
+    p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"sweep bound (default {FAMILY_SWEEP_GUARD} for cover families, "
                         f"{MF_SWEEP_GUARD} for mflemma, {ENUMERATION_GUARD} for convexity, "
                         f"{EXPANSION_GUARD} for bigdiff, {TRIM_GUARD} for trim)")

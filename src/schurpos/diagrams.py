@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DomainError
 from .partitions import (
@@ -174,8 +175,11 @@ def is_connected(diagram: SkewDiagram) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rectangle_table(outer: Partition, inner: Partition) -> dict[tuple[int, int], int]:
-    """Map (m, n) -> number of m-by-n cell rectangles, omitting zero counts."""
+def _rectangle_table(outer: Partition, inner: Partition) -> Mapping[tuple[int, int], int]:
+    """Map (m, n) -> number of m-by-n cell rectangles, omitting zero counts.
+
+    The table is cached, so callers get a read-only view of it.
+    """
     diagram = SkewDiagram(outer, inner)
     cells = set(diagram.cells())
     table: dict[tuple[int, int], int] = {}
@@ -191,7 +195,7 @@ def _rectangle_table(outer: Partition, inner: Partition) -> dict[tuple[int, int]
             for n in range(1, width + 1):
                 key = (m, n)
                 table[key] = table.get(key, 0) + 1
-    return table
+    return MappingProxyType(table)
 
 
 def rectangle_count(diagram: SkewDiagram, m: int, n: int) -> int:

@@ -175,7 +175,8 @@ def compare_vectors(v1: SchurVector, v2: SchurVector) -> ComparisonResult:
         return ComparisonResult(Relation.EQUAL, SchurVector())
     if v1.degree() != v2.degree():
         return ComparisonResult(Relation.INCOMPARABLE)
-    diff = {p: v1[p] - v2[p] for p in set(v1.support()) | set(v2.support())}
+    a, b = v1._terms, v2._terms
+    diff = {p: a.get(p, 0) - b.get(p, 0) for p in a.keys() | b.keys()}
     diff = {p: c for p, c in diff.items() if c}
     if all(c > 0 for c in diff.values()):
         return ComparisonResult(Relation.GREATER, SchurVector(diff))

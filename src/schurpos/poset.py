@@ -24,7 +24,7 @@ from .lr import (
     expand,
     is_multiplicity_free_vec,
 )
-from .partitions import dominance_leq, partitions_of
+from .partitions import Partition, dominance_leq, partitions_of
 
 
 def necessary_filter(a: SkewDiagram, b: SkewDiagram) -> bool:
@@ -139,6 +139,19 @@ def _heights(order: Iterable[int], succ: Sequence[Sequence[int]]) -> list[int]:
     return height
 
 
+def _left_modular(
+    spine: Iterable[int],
+    below: Sequence[tuple[int, int]],
+    meet: Sequence[Sequence[int]],
+    join: Sequence[Sequence[int]],
+) -> set[int]:
+    """The elements x of `spine` with (y v x) ^ z == y v (x ^ z) for every
+    pair y < z listed in `below`: the left-modular ones."""
+    return {
+        x for x in spine if all(meet[join[y][x]][z] == join[y][meet[x][z]] for y, z in below)
+    }
+
+
 def _trim_stats(
     leq: Sequence[Sequence[bool]],
     pairs: Sequence[tuple[int, int]],
@@ -165,11 +178,8 @@ def _trim_stats(
     max_len = max(height[v] + depth[v] for v in range(size))
     spine = [v for v in range(size) if height[v] + depth[v] == max_len]
 
-    # x is left modular when (y v x) ^ z == y v (x ^ z) for all y < z.
     below = [(y, z) for y in range(size) for z in range(size) if y != z and leq[y][z]]
-    modular = {
-        x for x in spine if all(meet[join[y][x]][z] == join[y][meet[x][z]] for y, z in below)
-    }
+    modular = _left_modular(spine, below, meet, join)
     # A longest chain of left-modular elements exists when some reach the top
     # level, climbing one level per cover through left-modular spine elements.
     reach = {v for v in modular if height[v] == 0}
@@ -226,7 +236,8 @@ def build_poset(
 ) -> PosetModel:
     """Group diagrams by Schur expansion and order the classes.
 
-    Each expansion is computed once; classes are compared coefficientwise.
+    Each expansion is computed once; classes are compared coefficientwise,
+    all at once, through bitmasks of the classes reaching each coefficient.
     Class lists and members are sorted by shape, so the model is
     reproducible for a given input set.
     """
@@ -244,22 +255,34 @@ def build_poset(
         )
     )
 
+    # at_least[p][c - 1] is the mask of the classes whose coefficient of p is
+    # at least c.  All classes have one degree and distinct expansions, so
+    # class i sits below j exactly when j is in every mask of i's terms.
     n = len(classes)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        leq[i][i] = True
-        for j in range(i + 1, n):
-            rel = compare_vectors(classes[i].expansion, classes[j].expansion).relation
-            if rel is Relation.LESS:
-                leq[i][j] = True
-            elif rel is Relation.GREATER:
-                leq[j][i] = True
+    at_least: dict[Partition, list[int]] = {}
+    for j, cls in enumerate(classes):
+        for p, c in cls.expansion.items():
+            masks = at_least.setdefault(p, [])
+            masks.extend([0] * (c - len(masks)))
+            for k in range(c):
+                masks[k] |= 1 << j
+    up = []
+    for cls in classes:
+        mask = (1 << n) - 1
+        for p, c in cls.expansion.items():
+            mask &= at_least[p][c - 1]
+        up.append(mask)
 
-    return PosetModel(
-        classes,
-        tuple(tuple(row) for row in leq),
-        tuple(_covers(*_order_sets(leq))),
-    )
+    leq = []
+    down = [0] * n
+    for i, mask in enumerate(up):
+        row = [False] * n
+        for j in _bits(mask):
+            row[j] = True
+            down[j] |= 1 << i
+        leq.append(tuple(row))
+
+    return PosetModel(classes, tuple(leq), tuple(_covers(up, down)))
 
 
 def check_graded(model: PosetModel) -> bool:

@@ -79,6 +79,39 @@ def is_convex(leq, members):
     )
 
 
+def bounds(leq):
+    """Meet and join dicts of a finite lattice, keyed by pairs of elements."""
+    n = len(leq)
+    join = {
+        (x, y): least(leq, [k for k in range(n) if leq[x][k] and leq[y][k]])
+        for x in range(n)
+        for y in range(n)
+    }
+    geq = [list(col) for col in zip(*leq)]
+    meet = {
+        (x, y): least(geq, [k for k in range(n) if leq[k][x] and leq[k][y]])
+        for x in range(n)
+        for y in range(n)
+    }
+    return meet, join
+
+
+def left_modular_set(leq):
+    """Every x of a finite lattice with (y v x) ^ z == y v (x ^ z) for all y <= z."""
+    n = len(leq)
+    meet, join = bounds(leq)
+    return {
+        x
+        for x in range(n)
+        if all(
+            meet[join[y, x], z] == join[y, meet[x, z]]
+            for y in range(n)
+            for z in range(n)
+            if leq[y][z]
+        )
+    }
+
+
 def trim_flags(leq):
     """The six trim_report statistics of a finite lattice, by enumeration.
 
@@ -98,28 +131,10 @@ def trim_flags(leq):
     longest_chains = [c for c in chains if len(c) == longest]
     spine = sorted({v for c in longest_chains for v in c})
 
-    join = {
-        (x, y): least(leq, [k for k in range(n) if leq[x][k] and leq[y][k]])
-        for x in range(n)
-        for y in range(n)
-    }
-    geq = [list(col) for col in zip(*leq)]
-    meet = {
-        (x, y): least(geq, [k for k in range(n) if leq[k][x] and leq[k][y]])
-        for x in range(n)
-        for y in range(n)
-    }
-
-    def left_modular(x):
-        return all(
-            meet[join[y, x], z] == join[y, meet[x, z]]
-            for y in range(n)
-            for z in range(n)
-            if leq[y][z]
-        )
-
-    some_chain = any(all(left_modular(v) for v in c) for c in longest_chains)
-    all_spine = all(left_modular(v) for v in spine)
+    meet, join = bounds(leq)
+    modular = left_modular_set(leq)
+    some_chain = any(all(v in modular for v in c) for c in longest_chains)
+    all_spine = all(v in modular for v in spine)
     spine_set = set(spine)
     distributive = all(
         meet[x, y] in spine_set and join[x, y] in spine_set

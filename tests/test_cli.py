@@ -103,6 +103,33 @@ def test_expand_env_guard_must_be_integer(capsys, monkeypatch):
     assert "SCHURPOS_MAX_SIZE must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "fourcovers", "--max-size", "0"],
+        ["poset", "--n", "3", "--max-size", "-1"],
+        ["poset", "--n", "0", "--ribbons"],
+        ["mf", "--n", "-2", "--rows", "1", "list"],
+        ["verify", "convexity", "--n", "0"],
+        ["expand", "3,2", "--max-size", "huge"],
+    ],
+)
+def test_sizes_below_one_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_guard_below_one_exits_one(capsys, monkeypatch, value):
+    monkeypatch.setenv("SCHURPOS_MAX_SIZE", value)
+    code, out, err = run(capsys, "verify", "fourcovers")
+    assert code == 1
+    assert out == ""
+    assert f"SCHURPOS_MAX_SIZE must be at least 1, got {value}" in err
+
+
 # --- compare -----------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from schurpos import (
     rotate180,
     transpose,
 )
+from schurpos.diagrams import _rectangle_table
 from schurpos.partitions import compositions_of, reverse
 
 from lr_reference import basic_skew_cell_sets
@@ -134,6 +135,14 @@ def test_rectangle_count_hand_values():
     assert rectangle_count(staircase, 1, 2) == 3
     assert rectangle_count(staircase, 2, 1) == 2
     assert rectangle_count(staircase, 2, 2) == 0
+
+
+def test_cached_rectangle_table_is_read_only():
+    square = SkewDiagram((2, 2))
+    table = _rectangle_table(square.outer, square.inner)
+    with pytest.raises(TypeError):
+        table[1, 1] = 0
+    assert rectangle_count(square, 1, 1) == 4
 
 
 def test_rectangle_count_brute_force():

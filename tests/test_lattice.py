@@ -1,7 +1,7 @@
 """Closed-form model of the multiplicity-free ribbon poset."""
 
 import pytest
-from order_reference import trim_flags
+from order_reference import left_modular_set, trim_flags
 
 from schurpos import (
     DomainError,
@@ -33,6 +33,7 @@ from schurpos import (
 )
 from schurpos.lattice import _chain, _rank
 from schurpos.partitions import compositions_of, reverse
+from schurpos.poset import _left_modular
 
 
 # --- labels and their identifications ------------------------------------
@@ -413,3 +414,18 @@ def test_trim_report_matches_brute_force_longest_chains():
                 report.spine_left_modular,
                 report.spine_distributive,
             ), (n, rows)
+
+
+def test_left_modular_labels_match_brute_force():
+    labels = elements(12, 6)
+    index = {label: i for i, label in enumerate(labels)}
+    leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
+    meets = [[index[meet(x, y)] for y in labels] for x in labels]
+    joins = [[index[join(x, y)] for y in labels] for x in labels]
+    everything = range(len(labels))
+    below = [(y, z) for y in everything for z in everything if y != z and leq[y][z]]
+    modular = left_modular_set(leq)
+    # Off the spine some labels are not left modular, so a test that marks
+    # too many shows here.
+    assert 0 < len(modular) < len(labels)
+    assert _left_modular(list(everything), below, meets, joins) == modular

@@ -3,9 +3,18 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
-from order_reference import covers, is_convex, is_graded, is_join_semilattice, least, trim_flags
+from order_reference import (
+    covers,
+    is_convex,
+    is_graded,
+    is_join_semilattice,
+    least,
+    left_modular_set,
+    trim_flags,
+)
 
 import schurpos
 from schurpos import (
@@ -16,6 +25,7 @@ from schurpos import (
     check_graded,
     check_join_semilattice,
     compare_diagrams,
+    compare_vectors,
     convexity_report,
     enumerate_basic_skew,
     expand,
@@ -26,7 +36,7 @@ from schurpos import (
     ribbon_of,
 )
 from schurpos.partitions import compositions_of, dominance_leq, partitions_of, reverse
-from schurpos.poset import _trim_stats
+from schurpos.poset import _left_modular, _trim_stats
 
 
 # --- the necessary filter ------------------------------------------------
@@ -208,6 +218,31 @@ def test_hasse_is_the_transitive_reduction():
         assert list(model.hasse) == sorted(expected)
 
 
+def pairwise_leq(model):
+    """The order of the classes from one compare_vectors call per pair."""
+    k = len(model)
+    leq = [[i == j for j in range(k)] for i in range(k)]
+    for i, j in combinations(range(k), 2):
+        rel = compare_vectors(model.classes[i].expansion, model.classes[j].expansion).relation
+        if rel is Relation.LESS:
+            leq[i][j] = True
+        elif rel is Relation.GREATER:
+            leq[j][i] = True
+    return leq
+
+
+def test_bitset_order_equals_the_pairwise_order():
+    models = [known_poset(n) for n in (4, 5, 6)]
+    models.append(build_poset(ribbon_of(c) for c in compositions_of(9)))
+    for model in models:
+        leq = pairwise_leq(model)
+        assert [list(row) for row in model.leq] == leq
+        assert list(model.hasse) == sorted(covers(leq))
+    # Coefficients above one are where support-only comparison goes wrong.
+    expansions = [cls.expansion for model in models for cls in model.classes]
+    assert max(c for vec in expansions for _, c in vec.items()) >= 2
+
+
 def test_index_of_finds_members():
     model = known_poset(4)
     d = ribbon_of((2, 2))
@@ -285,26 +320,44 @@ def lattice_tables(edges):
     return leq, sorted(edges), meet, join
 
 
+# Cover pairs of three small lattices.
+SMALL_LATTICES = {
+    # The hexagon: two chains of three covers, nothing left modular strictly
+    # between the bounds.
+    "hexagon": [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)],
+    # M3: modular, and all of it is spine, but it is not distributive.
+    "M3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+    # Eight elements: one longest chain is left modular, the spine is not.
+    "eight": [(0, 1), (0, 3), (1, 2), (1, 4), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)],
+}
+
+
 @pytest.mark.parametrize(
-    "edges, expected",
+    "name, expected",
     [
-        # The hexagon: two chains of three covers, nothing left modular
-        # strictly between the bounds.
-        ([(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)], (4, 4, 4, False, False, False)),
-        # M3: modular, and all of it is spine, but it is not distributive.
-        ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], (3, 3, 3, True, True, False)),
-        # Eight elements: one longest chain is left modular, the spine is not.
-        (
-            [(0, 1), (0, 3), (1, 2), (1, 4), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6), (6, 7)],
-            (5, 4, 5, True, False, False),
-        ),
+        ("hexagon", (4, 4, 4, False, False, False)),
+        ("M3", (3, 3, 3, True, True, False)),
+        ("eight", (5, 4, 5, True, False, False)),
     ],
     ids=["hexagon", "M3", "eight"],
 )
-def test_trim_stats_match_brute_force_where_the_flags_fail(edges, expected):
-    tables = lattice_tables(edges)
+def test_trim_stats_match_brute_force_where_the_flags_fail(name, expected):
+    tables = lattice_tables(SMALL_LATTICES[name])
     assert trim_flags(tables[0]) == expected
     assert _trim_stats(*tables) == expected
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("hexagon", {0, 5}), ("M3", {0, 1, 2, 3, 4}), ("eight", {0, 1, 3, 4, 6, 7})],
+    ids=["hexagon", "M3", "eight"],
+)
+def test_left_modular_elements_match_brute_force(name, expected):
+    leq, _, meet, join = lattice_tables(SMALL_LATTICES[name])
+    size = len(leq)
+    below = [(y, z) for y in range(size) for z in range(size) if y != z and leq[y][z]]
+    assert left_modular_set(leq) == expected
+    assert _left_modular(list(range(size)), below, meet, join) == expected
 
 
 def test_ribbon_poset_with_fixed_rows():
