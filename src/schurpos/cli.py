@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, required=True, help="number of cells")
     p.add_argument("--ribbons", action="store_true",
                    help="use ribbons of size n instead of all basic skew shapes")
-    p.add_argument("--rows", type=int, help="keep only ribbons with this many rows")
+    p.add_argument("--rows", type=_positive, help="keep only ribbons with this many rows")
     p.add_argument("--mf", action="store_true",
                    help="keep only multiplicity-free ribbons")
     p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mf", help="closed-form multiplicity-free ribbon poset")
     p.add_argument("--n", type=_positive, required=True, help="number of cells")
-    p.add_argument("--rows", type=int, required=True, help="number of ribbon rows")
+    p.add_argument("--rows", type=_positive, required=True, help="number of ribbon rows")
     p.add_argument("action", choices=("list", "covers", "leq", "meet", "join", "schubert"))
     p.add_argument("labels", nargs="*", help="rectangle labels such as '[3,5]' or '3,5'")
     p.set_defaults(handler=_cmd_mf)
@@ -362,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("fourcovers", "onlycovers", "bigdiff",
                                     "convexity", "trim", "mflemma"))
     p.add_argument("--n", type=_positive, help="number of cells, where applicable")
-    p.add_argument("--rows", type=int, help="number of ribbon rows, where applicable")
+    p.add_argument("--rows", type=_positive, help="number of ribbon rows, where applicable")
     p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"sweep bound (default {FAMILY_SWEEP_GUARD} for cover families, "
                         f"{MF_SWEEP_GUARD} for mflemma, {ENUMERATION_GUARD} for convexity, "

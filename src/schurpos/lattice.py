@@ -569,8 +569,8 @@ def trim_report(n: int, rows: int) -> TrimReport:
     """
     labels = elements(n, rows)
     index = {label: i for i, label in enumerate(labels)}
-    leq = [[leq_s_closed(x, y) for y in labels] for x in labels]
+    up = [sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels]
     meets = [[index[meet(x, y)] for y in labels] for x in labels]
     joins = [[index[join(x, y)] for y in labels] for x in labels]
     pairs = [(index[lo], index[hi]) for lo, hi in covers(n, rows)]
-    return TrimReport(*_trim_stats(leq, pairs, meets, joins))
+    return TrimReport(*_trim_stats(up, pairs, meets, joins))

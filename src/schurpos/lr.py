@@ -94,12 +94,12 @@ class ComparisonResult:
 
 
 @lru_cache(maxsize=None)
-def _expansion_terms(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
+def _expansion(outer: Partition, inner: Partition) -> SchurVector:
     diagram = SkewDiagram(outer, inner)
     cells = diagram.cells()
     n = len(cells)
     if n == 0:
-        return (((), 1),)
+        return SchurVector({(): 1})
 
     # Cells in reading-word order: top to bottom, right to left within a row.
     reading = sorted(cells, key=lambda cell: (cell[0], -cell[1]))
@@ -137,7 +137,7 @@ def _expansion_terms(outer: Partition, inner: Partition) -> tuple[tuple[Partitio
             counts[v] -= 1
 
     fill(0)
-    return tuple(sorted(weights.items(), reverse=True))
+    return SchurVector(weights)
 
 
 def expand(diagram: SkewDiagram, max_size: int = DEFAULT_EXPANSION_LIMIT) -> SchurVector:
@@ -146,13 +146,14 @@ def expand(diagram: SkewDiagram, max_size: int = DEFAULT_EXPANSION_LIMIT) -> Sch
     The coefficient of a partition is the number of semistandard fillings of
     the diagram with lattice reading word (read right to left, top to bottom)
     and that content.  Fillings are generated depth-first in reading order,
-    cutting branches as soon as the lattice prefix condition fails.
+    cutting branches as soon as the lattice prefix condition fails.  Each
+    shape is expanded once per process; repeats return the same vector.
     """
     if diagram.size > max_size:
         raise DomainError(
             f"expansion limited to {max_size} cells, got {diagram.size}"
         )
-    return SchurVector(dict(_expansion_terms(diagram.outer, diagram.inner)))
+    return _expansion(diagram.outer, diagram.inner)
 
 
 def omega_vec(vec: SchurVector) -> SchurVector:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .diagrams import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -91,12 +91,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _order_sets(leq: Sequence[Sequence[bool]]) -> tuple[list[int], list[int]]:
-    """Up-set and down-set bitmasks of each element of a reflexive order."""
-    bits = [1 << i for i in range(len(leq))]
-    up = [sum(compress(bits, row)) for row in leq]
-    down = [sum(compress(bits, col)) for col in zip(*leq)]
-    return up, down
+def _down_sets(up: Sequence[int]) -> list[int]:
+    """Down-set bitmasks of each element, transposed from its up-set masks."""
+    down = [0] * len(up)
+    for i, above in enumerate(up):
+        for j in _bits(above):
+            down[j] |= 1 << i
+    return down
 
 
 def _covers(up: list[int], down: list[int]) -> list[tuple[int, int]]:
@@ -153,32 +154,32 @@ def _left_modular(
 
 
 def _trim_stats(
-    leq: Sequence[Sequence[bool]],
+    up: Sequence[int],
     pairs: Sequence[tuple[int, int]],
     meet: Sequence[Sequence[int]],
     join: Sequence[Sequence[int]],
 ) -> tuple[int, int, int, bool, bool, bool]:
-    """Trim statistics of a finite lattice given by its reflexive order, its
-    cover pairs (lower, upper) and its meet and join tables.
+    """Trim statistics of a finite lattice given by the up-set bitmask of each
+    element, its cover pairs (lower, upper) and its meet and join tables.
 
     Returns the numbers of join- and meet-irreducibles and of elements on a
     longest chain; whether some longest chain is all left modular; whether
     every element on a longest chain (the spine) is left modular; and whether
     the spine is a distributive sublattice.
     """
-    size = len(leq)
+    size = len(up)
     succ = _cover_lists(size, pairs)
     pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
     join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
     meet_irr = sum(1 for v in range(size) if len(succ[v]) == 1)
 
-    order = _extension_order(_order_sets(leq)[1])
+    order = _extension_order(_down_sets(up))
     height = _heights(order, succ)
     depth = _heights(reversed(order), pred)
     max_len = max(height[v] + depth[v] for v in range(size))
     spine = [v for v in range(size) if height[v] + depth[v] == max_len]
 
-    below = [(y, z) for y in range(size) for z in range(size) if y != z and leq[y][z]]
+    below = [(y, z) for y, above in enumerate(up) for z in _bits(above) if z != y]
     modular = _left_modular(spine, below, meet, join)
     # A longest chain of left-modular elements exists when some reach the top
     # level, climbing one level per cover through left-modular spine elements.
@@ -213,12 +214,12 @@ class SchurClass:
 class PosetModel:
     """Schur-positivity order on the expansion classes of a set of diagrams.
 
-    leq[i][j] says class i sits below class j; hasse lists the cover pairs
-    (lower, upper) of the transitive reduction.
+    Bit j of up[i] is set exactly when class i sits at or below class j;
+    hasse lists the cover pairs (lower, upper) of the transitive reduction.
     """
 
     classes: tuple[SchurClass, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
@@ -272,28 +273,17 @@ def build_poset(
         for p, c in cls.expansion.items():
             mask &= at_least[p][c - 1]
         up.append(mask)
-
-    leq = []
-    down = [0] * n
-    for i, mask in enumerate(up):
-        row = [False] * n
-        for j in _bits(mask):
-            row[j] = True
-            down[j] |= 1 << i
-        leq.append(tuple(row))
-
-    return PosetModel(classes, tuple(leq), tuple(_covers(up, down)))
+    return PosetModel(classes, tuple(up), tuple(_covers(up, _down_sets(up))))
 
 
 def check_graded(model: PosetModel) -> bool:
     """Whether all maximal chains between any two comparable elements have
     equal length."""
-    up, down = _order_sets(model.leq)
     succ = _cover_lists(len(model), model.hasse)
-    order = _extension_order(down)
+    order = _extension_order(_down_sets(model.up))
     # All saturated chains from x to each y above it have one length exactly
     # when every cover v < w above x adds one to the longest chain from x.
-    for above in up:
+    for above in model.up:
         members = [v for v in order if above >> v & 1]
         height = _heights(members, succ)
         if any(height[w] != height[v] + 1 for v in members for w in succ[v]):
@@ -303,7 +293,7 @@ def check_graded(model: PosetModel) -> bool:
 
 def check_join_semilattice(model: PosetModel) -> bool:
     """Whether every pair with a common upper bound has a least one."""
-    up, _ = _order_sets(model.leq)
+    up = model.up
     for i, above_i in enumerate(up):
         for above_j in up[i:]:
             uppers = above_i & above_j
@@ -315,7 +305,7 @@ def check_join_semilattice(model: PosetModel) -> bool:
 def check_convex(model: PosetModel, member: Callable[[SchurClass], bool]) -> bool:
     """Whether the classes satisfying the predicate form a convex subposet:
     no outside class sits strictly between two member classes."""
-    up, down = _order_sets(model.leq)
+    up, down = model.up, _down_sets(model.up)
     members = sum(1 << i for i, cls in enumerate(model.classes) if member(cls))
     return not any(
         not members >> b & 1 and down[b] & members and up[b] & members

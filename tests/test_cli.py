@@ -112,6 +112,10 @@ def test_expand_env_guard_must_be_integer(capsys, monkeypatch):
         ["mf", "--n", "-2", "--rows", "1", "list"],
         ["verify", "convexity", "--n", "0"],
         ["expand", "3,2", "--max-size", "huge"],
+        ["poset", "--n", "5", "--ribbons", "--rows", "0"],
+        ["poset", "--n", "5", "--ribbons", "--rows", "-3"],
+        ["mf", "--n", "12", "--rows", "0", "list"],
+        ["verify", "trim", "--n", "12", "--rows", "-1"],
     ],
 )
 def test_sizes_below_one_exit_two(capsys, argv):

@@ -90,6 +90,12 @@ def test_worked_examples():
     assert dict(expand(ribbon_of((2, 1, 3))).items()) == {(4, 1, 1): 1, (3, 2, 1): 1}
 
 
+def test_repeated_expansions_share_one_vector():
+    shape = SkewDiagram((4, 3, 1), (2,))
+    assert expand(shape) is expand(SkewDiagram((4, 3, 1), (2,)))
+    assert expand(SkewDiagram(())) is expand(SkewDiagram(()))
+
+
 def test_expansion_of_empty_and_straight_shapes():
     assert dict(expand(SkewDiagram(())).items()) == {(): 1}
     for n in range(1, 9):

@@ -39,6 +39,16 @@ from schurpos.partitions import compositions_of, dominance_leq, partitions_of, r
 from schurpos.poset import _left_modular, _trim_stats
 
 
+def leq_of(model):
+    """The order of a poset model as a bool matrix, for the references."""
+    return [[bool(above >> j & 1) for j in range(len(model))] for above in model.up]
+
+
+def up_of(leq):
+    """Up-set bitmasks of a reflexive order given as a bool matrix."""
+    return [sum(1 << j for j, below in enumerate(row) if below) for row in leq]
+
+
 # --- the necessary filter ------------------------------------------------
 
 
@@ -194,22 +204,24 @@ def test_poset_classes_partition_the_input():
 
 def test_poset_leq_is_reflexive_antisymmetric_transitive():
     model = known_poset(4)
+    leq = leq_of(model)
     k = len(model)
     for i in range(k):
-        assert model.leq[i][i]
+        assert leq[i][i]
         for j in range(k):
-            if i != j and model.leq[i][j]:
-                assert not model.leq[j][i]
+            if i != j and leq[i][j]:
+                assert not leq[j][i]
             for t in range(k):
-                if model.leq[i][j] and model.leq[j][t]:
-                    assert model.leq[i][t]
+                if leq[i][j] and leq[j][t]:
+                    assert leq[i][t]
 
 
 def test_hasse_is_the_transitive_reduction():
     for n in (4, 5, 6):
         model = known_poset(n)
+        leq = leq_of(model)
         k = len(model)
-        strict = {(i, j) for i in range(k) for j in range(k) if i != j and model.leq[i][j]}
+        strict = {(i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]}
         expected = {
             (i, j)
             for i, j in strict
@@ -236,7 +248,7 @@ def test_bitset_order_equals_the_pairwise_order():
     models.append(build_poset(ribbon_of(c) for c in compositions_of(9)))
     for model in models:
         leq = pairwise_leq(model)
-        assert [list(row) for row in model.leq] == leq
+        assert leq_of(model) == leq
         assert list(model.hasse) == sorted(covers(leq))
     # Coefficients above one are where support-only comparison goes wrong.
     expansions = [cls.expansion for model in models for cls in model.classes]
@@ -270,8 +282,8 @@ def test_graded_and_join_checks_match_brute_force():
     ]
     seen = set()
     for model in models:
-        graded = is_graded(model.leq)
-        join = is_join_semilattice(model.leq)
+        graded = is_graded(leq_of(model))
+        join = is_join_semilattice(leq_of(model))
         assert check_graded(model) == graded
         assert check_join_semilattice(model) == join
         seen.add((graded, join))
@@ -281,13 +293,14 @@ def test_graded_and_join_checks_match_brute_force():
 def test_check_convex_rejects_gaps():
     # A comparable pair is convex exactly when it is a cover (or one class).
     model = known_poset(4)
+    leq = leq_of(model)
     k = len(model)
     verdicts = set()
     for i in range(k):
         for j in range(k):
-            if not model.leq[i][j]:
+            if not leq[i][j]:
                 continue
-            expected = is_convex(model.leq, {i, j})
+            expected = is_convex(leq, {i, j})
             assert expected == (i == j or (i, j) in model.hasse)
             members = {model.classes[i], model.classes[j]}
             assert check_convex(model, members.__contains__) == expected
@@ -342,9 +355,9 @@ SMALL_LATTICES = {
     ids=["hexagon", "M3", "eight"],
 )
 def test_trim_stats_match_brute_force_where_the_flags_fail(name, expected):
-    tables = lattice_tables(SMALL_LATTICES[name])
-    assert trim_flags(tables[0]) == expected
-    assert _trim_stats(*tables) == expected
+    leq, pairs, meet, join = lattice_tables(SMALL_LATTICES[name])
+    assert trim_flags(leq) == expected
+    assert _trim_stats(up_of(leq), pairs, meet, join) == expected
 
 
 @pytest.mark.parametrize(
@@ -423,12 +436,13 @@ def test_multiplicity_free_classes_within_fixed_rows_are_convex():
     diagrams = [ribbon_of(c) for c in compositions_of(7) if len(c) == 3]
     model = build_poset(diagrams)
     mf = [is_multiplicity_free_vec(cls.expansion) for cls in model.classes]
+    leq = leq_of(model)
     k = len(model)
     for i in range(k):
         for j in range(k):
-            if mf[i] and mf[j] and model.leq[i][j]:
+            if mf[i] and mf[j] and leq[i][j]:
                 for t in range(k):
-                    if model.leq[i][t] and model.leq[t][j]:
+                    if leq[i][t] and leq[t][j]:
                         assert mf[t]
 
 
