@@ -10,9 +10,9 @@ from collections.abc import Sequence
 
 from .diagrams import (
     SkewDiagram,
+    _ribbon_rows,
     composition_of,
     enumerate_basic_skew,
-    is_ribbon,
     mf_pattern,
     ribbon_of,
 )
@@ -165,8 +165,9 @@ def _dumps(payload: object) -> str:
 
 
 def _shape_text(diagram: SkewDiagram) -> str:
-    if is_ribbon(diagram):
-        return "r:" + _key(composition_of(diagram))
+    rows = _ribbon_rows(diagram.outer, diagram.inner)
+    if rows is not None:
+        return "r:" + _key(rows)
     return diagram.notation()
 
 
@@ -192,8 +193,9 @@ def _node_label(cls: SchurClass, style: str) -> str:
     rep = cls.representative
     if style == "rect":
         return str(label_of_ribbon(composition_of(rep)))
-    if is_ribbon(rep):
-        return _key(composition_of(rep))
+    rows = _ribbon_rows(rep.outer, rep.inner)
+    if rows is not None:
+        return _key(rows)
     return rep.notation()
 
 
@@ -251,6 +253,9 @@ def _cmd_mf(args: argparse.Namespace) -> int:
             f"mf {args.action} takes {wanted[args.action]} label argument(s), "
             f"got {len(args.labels)}"
         )
+    guard = _guard(args.max_size, TRIM_GUARD)
+    if n > guard:
+        raise DomainError(f"multiplicity-free lattices are limited to size {guard}, got {n}")
     if args.action == "list":
         for label in elements(n, rows):
             print(f"{label} r:{_key(ribbon_of_label(label))}")
@@ -356,6 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive, required=True, help="number of ribbon rows")
     p.add_argument("action", choices=("list", "covers", "leq", "meet", "join", "schubert"))
     p.add_argument("labels", nargs="*", help="rectangle labels such as '[3,5]' or '3,5'")
+    p.add_argument("--max-size", type=_positive, metavar="M",
+                   help=f"largest lattice size n (default {TRIM_GUARD})")
     p.set_defaults(handler=_cmd_mf)
 
     p = sub.add_parser("verify", help="cross-check closed forms against expansions")

@@ -135,11 +135,27 @@ def ribbon_of(alpha: Iterable[int]) -> SkewDiagram:
     return SkewDiagram(lam, mu)
 
 
+def _ribbon_rows(outer: Partition, inner: Partition) -> Composition | None:
+    """Row lengths of the basic shape outer/inner if it is a ribbon, else None.
+
+    In basic form, consecutive rows i and i + 1 share the columns
+    inner[i] + 1 .. outer[i + 1], so the shape is connected with no 2x2
+    block exactly when each such overlap is a single column.
+    """
+    if not outer:
+        return None
+    mu = inner + (0,) * (len(outer) - len(inner))
+    if mu[:-1] != tuple(l - 1 for l in outer[1:]):
+        return None
+    return tuple(l - m for l, m in zip(outer, mu))
+
+
 def composition_of(diagram: SkewDiagram) -> Composition:
     """Row lengths of a ribbon, top to bottom (inverse of ribbon_of)."""
-    if not is_ribbon(diagram):
+    rows = _ribbon_rows(diagram.outer, diagram.inner)
+    if rows is None:
         raise DomainError(f"{diagram.notation()} is not a ribbon")
-    return diagram.row_lengths()
+    return rows
 
 
 def rotate180(diagram: SkewDiagram) -> SkewDiagram:
@@ -207,11 +223,7 @@ def rectangle_count(diagram: SkewDiagram, m: int, n: int) -> int:
 
 def is_ribbon(diagram: SkewDiagram) -> bool:
     """Whether the diagram is connected and contains no 2x2 block of cells."""
-    return (
-        diagram.size >= 1
-        and is_connected(diagram)
-        and rectangle_count(diagram, 2, 2) == 0
-    )
+    return _ribbon_rows(diagram.outer, diagram.inner) is not None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Littlewood-Richardson expansion of skew Schur functions in the Schur basis."""
+"""Schur expansion of skew Schur functions: Littlewood-Richardson fillings, and
+standard tableaux with a fixed descent set for ribbons."""
 
 from __future__ import annotations
 
@@ -6,10 +7,11 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
-from .diagrams import SkewDiagram
+from .diagrams import SkewDiagram, _ribbon_rows
 from .errors import DomainError
-from .partitions import Partition, as_partition, conjugate
+from .partitions import Composition, Partition, as_partition, conjugate
 
 DEFAULT_EXPANSION_LIMIT = 16
 
@@ -76,6 +78,17 @@ class SchurVector:
         return f"SchurVector({{{body}}})"
 
 
+def _vector(terms: dict[Partition, int]) -> SchurVector:
+    """A SchurVector from engine output, skipping validation.
+
+    The engines build their keys as partitions of one size and count each
+    term at least once, so the terms are already valid.
+    """
+    vec = SchurVector.__new__(SchurVector)
+    vec._terms = dict(sorted(terms.items(), reverse=True))
+    return vec
+
+
 class Relation(Enum):
     """Outcome of comparing two Schur expansions."""
 
@@ -95,6 +108,53 @@ class ComparisonResult:
 
 @lru_cache(maxsize=None)
 def _expansion(outer: Partition, inner: Partition) -> SchurVector:
+    rows = _ribbon_rows(outer, inner)
+    if rows is None:
+        return _lr_expansion(outer, inner)
+    return _ribbon_expansion(rows)
+
+
+def _ribbon_expansion(alpha: Composition) -> SchurVector:
+    """Expansion of the ribbon with rows alpha, from standard tableaux.
+
+    The coefficient of s_lam is the number of standard tableaux of shape lam
+    whose descents (k with k + 1 in a strictly lower row) are exactly the
+    partial sums of alpha (Gessel 1984; Stanley, EC2 7.19 and 7.23).  Tableaux
+    grow one entry at a time through Young's lattice; a state is a shape with
+    the count of its tableaux for each row holding the largest entry.
+    """
+    descents = set(accumulate(alpha[:-1]))
+    layer: dict[Partition, list[int]] = {(1,): [1]}
+    for k in range(1, sum(alpha)):
+        grown: dict[Partition, list[int]] = {}
+        descent = k in descents
+        for shape, counts in layer.items():
+            ell = len(shape)
+            # Entry k + 1 goes to row r: strictly below entry k at a descent,
+            # weakly above it otherwise.  ways sums the counts of the rows of
+            # entry k that allow this.
+            if descent:
+                rows, offset = range(1, ell + 1), -1
+            else:
+                rows, offset = range(ell - 1, -1, -1), 0
+            ways = 0
+            for r in rows:
+                ways += counts[r + offset]
+                if ways and (r == 0 or r == ell or shape[r] < shape[r - 1]):
+                    if r < ell:
+                        new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
+                    else:
+                        new = shape + (1,)
+                    slot = grown.get(new)
+                    if slot is None:
+                        slot = grown[new] = [0] * len(new)
+                    slot[r] += ways
+        layer = grown
+    return _vector({shape: sum(counts) for shape, counts in layer.items()})
+
+
+def _lr_expansion(outer: Partition, inner: Partition) -> SchurVector:
+    """Expansion by a depth-first search over Littlewood-Richardson fillings."""
     diagram = SkewDiagram(outer, inner)
     cells = diagram.cells()
     n = len(cells)
@@ -137,16 +197,20 @@ def _expansion(outer: Partition, inner: Partition) -> SchurVector:
             counts[v] -= 1
 
     fill(0)
-    return SchurVector(weights)
+    return _vector(weights)
 
 
 def expand(diagram: SkewDiagram, max_size: int = DEFAULT_EXPANSION_LIMIT) -> SchurVector:
     """Schur expansion of the skew Schur function of the diagram.
 
-    The coefficient of a partition is the number of semistandard fillings of
-    the diagram with lattice reading word (read right to left, top to bottom)
-    and that content.  Fillings are generated depth-first in reading order,
-    cutting branches as soon as the lattice prefix condition fails.  Each
+    A ribbon with rows alpha is expanded by counting standard tableaux: the
+    coefficient of a partition is the number of standard tableaux of that
+    shape whose descent set is the set of partial sums of alpha (Gessel 1984;
+    Stanley, EC2 7.19 and 7.23).  Any other shape is expanded by the
+    Littlewood-Richardson rule: the coefficient of a partition is the number
+    of semistandard fillings of the diagram with lattice reading word (read
+    right to left, top to bottom) and that content, generated depth-first in
+    reading order and cut as soon as the lattice prefix condition fails.  Each
     shape is expanded once per process; repeats return the same vector.
     """
     if diagram.size > max_size:

@@ -350,6 +350,33 @@ def test_verify_trim_respects_the_size_guard(capsys, monkeypatch):
     assert "trim statistics are limited to size 24, got 25" in err
 
 
+@pytest.mark.parametrize(
+    "action", [["list"], ["covers"], ["leq", "[5,6]", "[3,3]"], ["meet", "[5,3]", "[1,4]"],
+               ["join", "[1,2]", "[2,1]"], ["schubert", "[3,5]"]],
+    ids=lambda action: action[0],
+)
+def test_mf_respects_the_size_guard(capsys, monkeypatch, action):
+    code, out, err = run(capsys, "mf", "--n", "12", "--rows", "6", *action, "--max-size", "11")
+    assert code == 1
+    assert out == ""
+    assert "multiplicity-free lattices are limited to size 11, got 12" in err
+
+    code, out, _ = run(capsys, "mf", "--n", "12", "--rows", "6", *action, "--max-size", "12")
+    assert code == 0
+    assert out
+
+    monkeypatch.setenv("SCHURPOS_MAX_SIZE", "11")
+    code, _, err = run(capsys, "mf", "--n", "12", "--rows", "6", *action)
+    assert code == 1
+    assert "multiplicity-free lattices are limited to size 11, got 12" in err
+
+    monkeypatch.delenv("SCHURPOS_MAX_SIZE")
+    code, out, err = run(capsys, "mf", "--n", "3000", "--rows", "1500", *action)
+    assert code == 1
+    assert out == ""
+    assert "multiplicity-free lattices are limited to size 24, got 3000" in err
+
+
 def test_verify_missing_context_exits_two(capsys):
     code, _, err = run(capsys, "verify", "bigdiff")
     assert code == 2

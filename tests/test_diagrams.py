@@ -91,6 +91,23 @@ def test_is_ribbon_rejects_thick_and_disconnected_shapes():
     assert is_ribbon(SkewDiagram((2, 2), (1,)))
 
 
+def test_closed_form_ribbon_test_matches_connectivity_and_blocks():
+    shapes = [d for n in range(1, 9) for d in enumerate_basic_skew(n)]
+    assert len(shapes) == 3909
+    ribbons = 0
+    for d in shapes:
+        expected = is_connected(d) and rectangle_count(d, 2, 2) == 0
+        assert is_ribbon(d) == expected, d.notation()
+        if expected:
+            assert composition_of(d) == d.row_lengths()
+            ribbons += 1
+        else:
+            with pytest.raises(DomainError, match="not a ribbon"):
+                composition_of(d)
+    assert ribbons == sum(2 ** (n - 1) for n in range(1, 9))
+    assert not is_ribbon(SkewDiagram(()))
+
+
 def test_is_connected():
     assert is_connected(SkewDiagram((2, 2)))
     assert not is_connected(SkewDiagram((2, 1), (1,)))

@@ -1,7 +1,11 @@
-"""The Littlewood-Richardson engine against an independent reference."""
+"""The expansion engines against independent references."""
+
+from itertools import accumulate, combinations
+from math import factorial, prod
 
 import pytest
 
+import schurpos.lr
 from schurpos import (
     DomainError,
     Relation,
@@ -16,7 +20,8 @@ from schurpos import (
     rotate180,
     transpose,
 )
-from schurpos.partitions import compositions_of, partitions_of
+from schurpos.lr import _lr_expansion, _ribbon_expansion
+from schurpos.partitions import compositions_of, conjugate, partitions_of
 
 from lr_reference import schur_expansion
 
@@ -142,6 +147,91 @@ def test_expand_size_guard():
     assert expand(big, max_size=17)[(17,)] == 1
     with pytest.raises(DomainError, match="limited to 3 cells"):
         expand(SkewDiagram((2, 2)), max_size=3)
+
+
+# --- ribbons: standard tableaux with a fixed descent set -----------------
+
+
+def standard_tableaux(lam):
+    """f^lam by the hook-length formula."""
+    cols = conjugate(lam)
+    hooks = prod(
+        (lam[i] - j - 1) + (cols[j] - i - 1) + 1
+        for i in range(len(lam))
+        for j in range(lam[i])
+    )
+    return factorial(sum(lam)) // hooks
+
+
+def permutations_with_descent_set(alpha):
+    """beta_n(S) for S the partial sums of alpha, by inclusion-exclusion
+    over the multinomials alpha_n(T) of the subsets T of S (EC1 2.2)."""
+    n = sum(alpha)
+    descents = list(accumulate(alpha[:-1]))
+    total = 0
+    for size in range(len(descents) + 1):
+        for subset in combinations(descents, size):
+            cuts = (0, *subset, n)
+            multinomial = factorial(n) // prod(
+                factorial(b - a) for a, b in zip(cuts, cuts[1:])
+            )
+            total += (-1) ** (len(descents) - size) * multinomial
+    return total
+
+
+def test_ribbon_expansion_matches_the_lr_search_through_twelve_cells():
+    checked = 0
+    for n in range(1, 13):
+        for alpha in compositions_of(n):
+            d = ribbon_of(alpha)
+            assert _ribbon_expansion(alpha) == _lr_expansion(d.outer, d.inner), alpha
+            checked += 1
+    assert checked == 4095
+
+
+def test_ribbon_coefficients_over_all_compositions_count_standard_tableaux():
+    # Each standard tableau has exactly one descent set.
+    totals = {}
+    for alpha in compositions_of(13):
+        for lam, c in _ribbon_expansion(alpha).items():
+            totals[lam] = totals.get(lam, 0) + c
+    assert totals == {lam: standard_tableaux(lam) for lam in partitions_of(13)}
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(8, 8), (1, 15), (2, 1) * 5 + (1,), (4, 4, 4, 4)],
+    ids=["8,8", "1,15", "(2,1)^5,1", "4,4,4,4"],
+)
+def test_sixteen_cell_ribbons_count_permutations_with_their_descent_set(alpha):
+    vec = _ribbon_expansion(alpha)
+    assert vec.degree() == 16
+    assert sum(c * standard_tableaux(lam) for lam, c in vec.items()) == (
+        permutations_with_descent_set(alpha)
+    )
+
+
+def test_two_row_sixteen_cell_ribbons_follow_the_pieri_rule():
+    # r_(a,b) = h_a h_b - h_(a+b).  Unlike the two sums above, this tells a
+    # descent set from its complement.
+    for a in range(1, 16):
+        b = 16 - a
+        expected = {(16 - k, k): 1 for k in range(1, min(a, b) + 1)}
+        assert dict(_ribbon_expansion((a, b)).items()) == expected
+
+
+def test_ribbons_take_the_tableau_path(monkeypatch):
+    def no_search(outer, inner):
+        raise AssertionError(f"LR search on {outer}/{inner}")
+
+    monkeypatch.setattr(schurpos.lr, "_lr_expansion", no_search)
+    schurpos.lr._expansion.cache_clear()
+    try:
+        assert expand(ribbon_of((2, 2, 2, 2, 2, 2, 2, 2))) == _ribbon_expansion((2,) * 8)
+        with pytest.raises(AssertionError, match="LR search"):
+            expand(SkewDiagram((2, 2)))
+    finally:
+        schurpos.lr._expansion.cache_clear()
 
 
 # --- comparison ----------------------------------------------------------
