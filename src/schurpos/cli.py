@@ -95,15 +95,22 @@ def _label_with_context(s: str) -> RectLabel:
     return RectLabel(a, b, n, rows)
 
 
-def parse_shape(text: str) -> SkewDiagram:
-    """Parse '4,3,3/2,2' (skew), '4,3,3', 'r:2,1,3' (ribbon), or '[3,5]@15,6'."""
+def parse_shape(text: str, max_size: int | None = None) -> SkewDiagram:
+    """Parse '4,3,3/2,2' (skew), '4,3,3', 'r:2,1,3' (ribbon), or '[3,5]@15,6'.
+
+    A label whose context size is above max_size is refused before its
+    ribbon is built.
+    """
     s = "".join(text.split())
     if not s:
         raise ParseError(s, 0, "empty shape")
     if s.startswith("r:"):
         return ribbon_of(_int_list(s, 2, len(s)))
     if s.startswith("["):
-        return ribbon_of(ribbon_of_label(_label_with_context(s)))
+        label = _label_with_context(s)
+        if max_size is not None and label.n > max_size:
+            raise DomainError(f"expansion limited to {max_size} cells, got {label.n}")
+        return ribbon_of(ribbon_of_label(label))
     slash = s.find("/")
     if slash < 0:
         return SkewDiagram(_int_list(s, 0, len(s)))
@@ -172,16 +179,16 @@ def _shape_text(diagram: SkewDiagram) -> str:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    vec = expand(parse_shape(args.shape), _guard(args.max_size, EXPANSION_GUARD))
+    guard = _guard(args.max_size, EXPANSION_GUARD)
+    vec = expand(parse_shape(args.shape, guard), guard)
     print(_dumps(_vec_dict(vec)))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    guard = _guard(args.max_size, EXPANSION_GUARD)
     result = compare_diagrams(
-        parse_shape(args.first),
-        parse_shape(args.second),
-        _guard(args.max_size, EXPANSION_GUARD),
+        parse_shape(args.first, guard), parse_shape(args.second, guard), guard
     )
     print(result.relation.value)
     if args.show_difference and result.difference is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from types import MappingProxyType
 
 from .errors import DomainError
@@ -18,30 +19,25 @@ from .partitions import (
 )
 
 
-def _strip_empty_rows(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    mu_pad = mu + (0,) * (len(lam) - len(mu))
-    kept = [(l, m) for l, m in zip(lam, mu_pad) if l > m]
-    lam2 = tuple(l for l, _ in kept)
-    mu2 = tuple(m for _, m in kept)
-    while mu2 and mu2[-1] == 0:
-        mu2 = mu2[:-1]
-    return lam2, mu2
-
-
 def _basic_form(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    # Dropping an empty row never creates an empty column (column counts are
-    # untouched), so one pass on rows and one on columns suffices.
-    lam, mu = _strip_empty_rows(lam, mu)
-    if not lam:
-        return (), ()
-    lam_t, mu_t = _strip_empty_rows(conjugate(lam), conjugate(mu))
-    return conjugate(lam_t), conjugate(mu_t)
+    """Delete the empty rows and columns of lam/mu in one pass, bottom up.
+
+    Without empty rows, the empty columns lie left of a row's start and right
+    of the end of the row below (rows above start no further left), so each
+    row shifts left by the empty columns at or below it."""
+    rows = [(l, m) for l, m in zip_longest(lam, mu, fillvalue=0) if l > m]
+    shift = end = 0
+    for i in range(len(rows) - 1, -1, -1):
+        l, m = rows[i]
+        shift += max(0, m - end)
+        rows[i], end = (l - shift, m - shift), l
+    return tuple(l for l, _ in rows), tuple(m for _, m in rows if m)
 
 
 class SkewDiagram:
     """A skew shape outer/inner, normalized to basic form (no empty rows or columns)."""
 
-    __slots__ = ("outer", "inner", "_cells")
+    __slots__ = ("outer", "inner")
 
     def __init__(self, outer: Iterable[int] = (), inner: Iterable[int] = ()):
         lam = as_partition(outer)
@@ -49,7 +45,6 @@ class SkewDiagram:
         if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
             raise DomainError(f"inner shape {mu} not contained in outer shape {lam}")
         self.outer, self.inner = _basic_form(lam, mu)
-        self._cells = None
 
     @property
     def size(self) -> int:
@@ -70,20 +65,21 @@ class SkewDiagram:
 
     def column_lengths(self) -> tuple[int, ...]:
         """Cells per column, left to right."""
-        lam_t = conjugate(self.outer)
-        mu_t = conjugate(self.inner) + (0,) * len(lam_t)
-        return tuple(l - m for l, m in zip(lam_t, mu_t))
+        # Row i adds one to the columns inner[i] .. outer[i] - 1 (0-indexed).
+        diff = [0] * (self.num_cols + 1)
+        for l, m in zip_longest(self.outer, self.inner, fillvalue=0):
+            diff[m] += 1
+            diff[l] -= 1
+        return tuple(accumulate(diff[:-1]))
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         """All (row, column) coordinates, 1-indexed, in row-major order."""
-        if self._cells is None:
-            mu = self.inner + (0,) * (self.num_rows - len(self.inner))
-            self._cells = tuple(
-                (i + 1, j)
-                for i, (l, m) in enumerate(zip(self.outer, mu))
-                for j in range(m + 1, l + 1)
-            )
-        return self._cells
+        mu = self.inner + (0,) * (self.num_rows - len(self.inner))
+        return tuple(
+            (i + 1, j)
+            for i, (l, m) in enumerate(zip(self.outer, mu))
+            for j in range(m + 1, l + 1)
+        )
 
     def sort_key(self) -> tuple[Partition, Partition]:
         return (self.outer, self.inner)
@@ -176,18 +172,17 @@ def transpose(diagram: SkewDiagram) -> SkewDiagram:
 
 def is_connected(diagram: SkewDiagram) -> bool:
     """Whether the cells form one edgewise-connected component."""
-    cells = set(diagram.cells())
-    if not cells:
+    unseen = set(diagram.cells())
+    if not unseen:
         return False
-    stack = [next(iter(diagram.cells()))]
-    seen = {stack[0]}
+    stack = [unseen.pop()]
     while stack:
         r, c = stack.pop()
         for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
+            if nb in unseen:
+                unseen.remove(nb)
                 stack.append(nb)
-    return len(seen) == len(cells)
+    return not unseen
 
 
 @lru_cache(maxsize=None)

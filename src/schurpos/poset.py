@@ -53,11 +53,15 @@ def compare_diagrams(
 ) -> ComparisonResult:
     """Compare the skew Schur functions of two diagrams.
 
-    Inexpensive refutations run first: diagrams of different sizes are
+    Either diagram above max_size cells is an error, raised before any other
+    work.  Inexpensive refutations run next: diagrams of different sizes are
     incomparable, as are ribbons with different row counts; when the
     necessary conditions fail in both directions no expansion is needed.
     Otherwise the answer comes from the full expansions.
     """
+    for d in (a, b):
+        if d.size > max_size:
+            raise DomainError(f"expansion limited to {max_size} cells, got {d.size}")
     if a.size != b.size:
         return ComparisonResult(Relation.INCOMPARABLE)
     if a == b:
@@ -91,25 +95,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _down_sets(up: Sequence[int]) -> list[int]:
-    """Down-set bitmasks of each element, transposed from its up-set masks."""
-    down = [0] * len(up)
-    for i, above in enumerate(up):
-        for j in _bits(above):
-            down[j] |= 1 << i
-    return down
-
-
-def _covers(up: list[int], down: list[int]) -> list[tuple[int, int]]:
+def _covers(up: Sequence[int]) -> list[tuple[int, int]]:
     """Cover pairs (lower, upper) in increasing order: the transitive
-    reduction of Aho, Garey and Ullman, where i < j is a cover exactly when
-    the interval [i, j] holds nothing else."""
-    return [
-        (i, j)
-        for i, above in enumerate(up)
-        for j in _bits(above)
-        if j != i and above & down[j] == (1 << i) | (1 << j)
-    ]
+    reduction of Aho, Garey and Ullman.  Of the elements strictly above i,
+    the covers are those strictly above none of the others."""
+    pairs = []
+    for i, above in enumerate(up):
+        strict = rest = above & ~(1 << i)
+        for j in _bits(strict):
+            if rest >> j & 1:
+                rest &= ~(up[j] & ~(1 << j))
+        pairs.extend((i, j) for j in _bits(rest))
+    return pairs
 
 
 def _cover_lists(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -120,9 +117,11 @@ def _cover_lists(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]
     return succ
 
 
-def _extension_order(down: list[int]) -> list[int]:
-    """A linear extension: elements sorted by the size of their down-set."""
-    return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+def _extension_order(up: Sequence[int]) -> list[int]:
+    """A linear extension: elements sorted by the size of their up-set,
+    largest first, since an element strictly above another has fewer above
+    it."""
+    return sorted(range(len(up)), key=lambda i: -up[i].bit_count())
 
 
 def _heights(order: Iterable[int], succ: Sequence[Sequence[int]]) -> list[int]:
@@ -173,7 +172,7 @@ def _trim_stats(
     join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
     meet_irr = sum(1 for v in range(size) if len(succ[v]) == 1)
 
-    order = _extension_order(_down_sets(up))
+    order = _extension_order(up)
     height = _heights(order, succ)
     depth = _heights(reversed(order), pred)
     max_len = max(height[v] + depth[v] for v in range(size))
@@ -225,12 +224,6 @@ class PosetModel:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def index_of(self, diagram: SkewDiagram) -> int:
-        for i, cls in enumerate(self.classes):
-            if diagram in cls.members:
-                return i
-        raise DomainError(f"{diagram!r} is not a member of this poset")
-
 
 def build_poset(
     diagrams: Iterable[SkewDiagram], max_size: int = DEFAULT_EXPANSION_LIMIT
@@ -273,14 +266,14 @@ def build_poset(
         for p, c in cls.expansion.items():
             mask &= at_least[p][c - 1]
         up.append(mask)
-    return PosetModel(classes, tuple(up), tuple(_covers(up, _down_sets(up))))
+    return PosetModel(classes, tuple(up), tuple(_covers(up)))
 
 
 def check_graded(model: PosetModel) -> bool:
     """Whether all maximal chains between any two comparable elements have
     equal length."""
     succ = _cover_lists(len(model), model.hasse)
-    order = _extension_order(_down_sets(model.up))
+    order = _extension_order(model.up)
     # All saturated chains from x to each y above it have one length exactly
     # when every cover v < w above x adds one to the longest chain from x.
     for above in model.up:
@@ -305,12 +298,13 @@ def check_join_semilattice(model: PosetModel) -> bool:
 def check_convex(model: PosetModel, member: Callable[[SchurClass], bool]) -> bool:
     """Whether the classes satisfying the predicate form a convex subposet:
     no outside class sits strictly between two member classes."""
-    up, down = model.up, _down_sets(model.up)
-    members = sum(1 << i for i, cls in enumerate(model.classes) if member(cls))
-    return not any(
-        not members >> b & 1 and down[b] & members and up[b] & members
-        for b in range(len(model))
-    )
+    up = model.up
+    members = above = 0
+    for i, cls in enumerate(model.classes):
+        if member(cls):
+            members |= 1 << i
+            above |= up[i]
+    return not any(up[b] & members for b in _bits(above & ~members))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Command-line grammar, output formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import schurpos
 from schurpos import SkewDiagram, ribbon_of
 from schurpos.cli import ParseError, main, parse_label, parse_shape
 from schurpos.poset import VerifyReport
@@ -412,6 +414,28 @@ def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["poset"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "99999999999999999999"],
+        ["expand", "r:99999999999999999999"],
+        ["compare", "r:50000000,50000000", "r:99999999,1"],
+        ["expand", "[9999998,1]@20000000,10000000"],
+    ],
+)
+def test_oversized_inputs_exit_one_before_any_shape_work(argv):
+    # A subprocess with a timeout, because a guard checked after the shape
+    # work runs for minutes or without end on these inputs.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurpos.__file__)))
+    env.pop("SCHURPOS_MAX_SIZE", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "schurpos.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "expansion limited to 14 cells" in result.stderr
 
 
 def test_scripted_invocation_is_byte_identical():

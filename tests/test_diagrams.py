@@ -20,7 +20,12 @@ from schurpos import (
 from schurpos.diagrams import _rectangle_table
 from schurpos.partitions import compositions_of, reverse
 
-from lr_reference import basic_skew_cell_sets
+from lr_reference import (
+    basic_skew_cell_sets,
+    normalized_cells,
+    partitions_in_box,
+    subpartitions,
+)
 
 
 def test_construction_normalizes_to_basic_form():
@@ -31,6 +36,13 @@ def test_construction_normalizes_to_basic_form():
     # Already-basic shapes are untouched.
     assert SkewDiagram((4, 3, 3), (2, 2)).notation() == "4,3,3/2,2"
     assert SkewDiagram((3, 2)).notation() == "3,2"
+
+
+def test_construction_deletes_exactly_the_empty_rows_and_columns():
+    for lam in partitions_in_box(5, 5):
+        for mu in subpartitions(lam):
+            cells = {(r - 1, c - 1) for r, c in SkewDiagram(lam, mu).cells()}
+            assert cells == normalized_cells(lam, mu), (lam, mu)
 
 
 def test_construction_rejects_bad_pairs():

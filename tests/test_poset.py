@@ -255,15 +255,6 @@ def test_bitset_order_equals_the_pairwise_order():
     assert max(c for vec in expansions for _, c in vec.items()) >= 2
 
 
-def test_index_of_finds_members():
-    model = known_poset(4)
-    d = ribbon_of((2, 2))
-    i = model.index_of(d)
-    assert d in model.classes[i].members
-    with pytest.raises(DomainError, match="not a member"):
-        model.index_of(ribbon_of((5,)))
-
-
 def test_gradedness_flips_between_sizes_four_and_five():
     assert check_graded(known_poset(4))
     assert not check_graded(known_poset(5))
