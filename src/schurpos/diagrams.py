@@ -46,6 +46,13 @@ class SkewDiagram:
             raise DomainError(f"inner shape {mu} not contained in outer shape {lam}")
         self.outer, self.inner = _basic_form(lam, mu)
 
+    @classmethod
+    def _basic(cls, outer: Partition, inner: Partition) -> SkewDiagram:
+        """A diagram from outer/inner already in basic form (no zeros in inner), unchecked."""
+        diagram = cls.__new__(cls)
+        diagram.outer, diagram.inner = outer, inner
+        return diagram
+
     @property
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
@@ -107,8 +114,7 @@ class SkewDiagram:
 
 def profile(diagram: SkewDiagram) -> tuple[Partition, Partition]:
     """Row-length and column-length multisets, each sorted into a partition."""
-    rows = tuple(sorted(diagram.row_lengths(), reverse=True))
-    cols = tuple(sorted(diagram.column_lengths(), reverse=True))
+    rows, cols, _ = _statistics(diagram.outer, diagram.inner)
     return rows, cols
 
 
@@ -121,14 +127,10 @@ def ribbon_of(alpha: Iterable[int]) -> SkewDiagram:
     alpha = as_composition(alpha)
     if not alpha:
         raise DomainError("a ribbon needs at least one row")
-    ell = len(alpha)
-    suffix = 0
-    lam = [0] * ell
-    for i in range(ell - 1, -1, -1):
-        suffix += alpha[i]
-        lam[i] = suffix - (ell - 1 - i)
-    mu = [lam[i + 1] - 1 for i in range(ell - 1)]
-    return SkewDiagram(lam, mu)
+    # Row i ends at column (cells at or below it) - (rows below it) and starts
+    # in the last column of the row below; the zeros of inner are at its tail.
+    lam = tuple(s - k for k, s in enumerate(accumulate(reversed(alpha))))[::-1]
+    return SkewDiagram._basic(lam, tuple(l - 1 for l in lam[1:] if l > 1))
 
 
 def _ribbon_rows(outer: Partition, inner: Partition) -> Composition | None:
@@ -156,64 +158,54 @@ def composition_of(diagram: SkewDiagram) -> Composition:
 
 def rotate180(diagram: SkewDiagram) -> SkewDiagram:
     """The diagram rotated half a turn inside its bounding box."""
-    if not diagram.outer:
-        return SkewDiagram()
     c = diagram.num_cols
     mu = diagram.inner + (0,) * (diagram.num_rows - len(diagram.inner))
     new_outer = tuple(c - m for m in reversed(mu))
-    new_inner = tuple(c - l for l in reversed(diagram.outer))
-    return SkewDiagram(new_outer, new_inner)
+    # outer weakly decreases from outer[0] == c, so the zeros are at the tail.
+    new_inner = tuple(c - l for l in reversed(diagram.outer) if l < c)
+    return SkewDiagram._basic(new_outer, new_inner)
 
 
 def transpose(diagram: SkewDiagram) -> SkewDiagram:
     """The diagram reflected across its main diagonal."""
-    return SkewDiagram(conjugate(diagram.outer), conjugate(diagram.inner))
+    return SkewDiagram._basic(conjugate(diagram.outer), conjugate(diagram.inner))
 
 
 def is_connected(diagram: SkewDiagram) -> bool:
-    """Whether the cells form one edgewise-connected component."""
-    unseen = set(diagram.cells())
-    if not unseen:
-        return False
-    stack = [unseen.pop()]
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in unseen:
-                unseen.remove(nb)
-                stack.append(nb)
-    return not unseen
+    """Whether the cells form one edgewise-connected component: in basic form,
+    rows i and i + 1 share a column exactly when inner[i] < outer[i + 1]."""
+    outer = diagram.outer
+    return bool(outer) and all(m < l for m, l in zip(diagram.inner, outer[1:]))
 
 
 @lru_cache(maxsize=None)
-def _rectangle_table(outer: Partition, inner: Partition) -> Mapping[tuple[int, int], int]:
-    """Map (m, n) -> number of m-by-n cell rectangles, omitting zero counts.
+def _statistics(
+    outer: Partition, inner: Partition
+) -> tuple[Partition, Partition, Mapping[tuple[int, int], int]]:
+    """Row profile, column profile, and a read-only map (m, n) -> number of
+    m-by-n cell rectangles (zero counts omitted) of the basic shape outer/inner.
 
-    The table is cached, so callers get a read-only view of it.
-    """
-    diagram = SkewDiagram(outer, inner)
-    cells = set(diagram.cells())
+    Rows i .. i + m - 1 share the w columns inner[i] + 1 .. outer[i + m - 1],
+    which hold w - n + 1 rectangles with top row i for each n <= w."""
+    diagram = SkewDiagram._basic(outer, inner)
+    rows = tuple(sorted(diagram.row_lengths(), reverse=True))
+    cols = tuple(sorted(diagram.column_lengths(), reverse=True))
     table: dict[tuple[int, int], int] = {}
-    for i, j in cells:
-        width = diagram.num_cols
-        m = 0
-        while (i + m, j) in cells and width:
-            run = 0
-            while run < width and (i + m, j + run) in cells:
-                run += 1
-            width = run
-            m += 1
-            for n in range(1, width + 1):
-                key = (m, n)
-                table[key] = table.get(key, 0) + 1
-    return MappingProxyType(table)
+    for i, left in enumerate(inner + (0,) * (len(outer) - len(inner))):
+        for m, right in enumerate(outer[i:], start=1):
+            w = right - left
+            if w < 1:
+                break
+            for n in range(1, w + 1):
+                table[m, n] = table.get((m, n), 0) + w - n + 1
+    return rows, cols, MappingProxyType(table)
 
 
 def rectangle_count(diagram: SkewDiagram, m: int, n: int) -> int:
     """Number of m-row by n-column rectangles of cells inside the diagram."""
     if m < 1 or n < 1:
         raise DomainError("rectangle dimensions must be positive")
-    return _rectangle_table(diagram.outer, diagram.inner).get((m, n), 0)
+    return _statistics(diagram.outer, diagram.inner)[2].get((m, n), 0)
 
 
 def is_ribbon(diagram: SkewDiagram) -> bool:
@@ -280,8 +272,9 @@ def enumerate_basic_skew(n: int, max_size: int = DEFAULT_ENUMERATION_LIMIT) -> l
         if used == n:
             spans = rows[::-1]
             lam = tuple(e for _, e in spans)
-            mu = tuple(s - 1 for s, _ in spans)
-            found.append(SkewDiagram(lam, mu))
+            # Starts weakly decrease downward to column 1: zeros at the tail.
+            mu = tuple(s - 1 for s, _ in spans if s > 1)
+            found.append(SkewDiagram._basic(lam, mu))
             return
         s_prev, e_prev = rows[-1]
         for s in range(s_prev, e_prev + 2):

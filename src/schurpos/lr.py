@@ -11,7 +11,7 @@ from itertools import accumulate
 
 from .diagrams import SkewDiagram, _ribbon_rows
 from .errors import DomainError
-from .partitions import Composition, Partition, as_partition, conjugate
+from .partitions import Composition, Partition, _integers, as_partition, conjugate
 
 DEFAULT_EXPANSION_LIMIT = 16
 
@@ -28,10 +28,10 @@ class SchurVector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
+        terms = dict(terms or {})
         clean: dict[Partition, int] = {}
-        for key, coeff in dict(terms or {}).items():
+        for key, c in zip(terms, _integers(terms.values(), "coefficients")):
             part = as_partition(key)
-            c = int(coeff)
             if c < 0:
                 raise DomainError(f"coefficient of {part} is negative: {c}")
             if c:
@@ -79,10 +79,10 @@ class SchurVector:
 
 
 def _vector(terms: dict[Partition, int]) -> SchurVector:
-    """A SchurVector from engine output, skipping validation.
+    """A SchurVector from terms the library built, skipping validation.
 
-    The engines build their keys as partitions of one size and count each
-    term at least once, so the terms are already valid.
+    The engines and compare_vectors build their keys as partitions of one
+    size and keep only positive counts, so the terms are already valid.
     """
     vec = SchurVector.__new__(SchurVector)
     vec._terms = dict(sorted(terms.items(), reverse=True))
@@ -155,11 +155,11 @@ def _ribbon_expansion(alpha: Composition) -> SchurVector:
 
 def _lr_expansion(outer: Partition, inner: Partition) -> SchurVector:
     """Expansion by a depth-first search over Littlewood-Richardson fillings."""
-    diagram = SkewDiagram(outer, inner)
+    diagram = SkewDiagram._basic(outer, inner)
     cells = diagram.cells()
     n = len(cells)
     if n == 0:
-        return SchurVector({(): 1})
+        return _vector({(): 1})
 
     # Cells in reading-word order: top to bottom, right to left within a row.
     reading = sorted(cells, key=lambda cell: (cell[0], -cell[1]))
@@ -244,7 +244,7 @@ def compare_vectors(v1: SchurVector, v2: SchurVector) -> ComparisonResult:
     diff = {p: a.get(p, 0) - b.get(p, 0) for p in a.keys() | b.keys()}
     diff = {p: c for p, c in diff.items() if c}
     if all(c > 0 for c in diff.values()):
-        return ComparisonResult(Relation.GREATER, SchurVector(diff))
+        return ComparisonResult(Relation.GREATER, _vector(diff))
     if all(c < 0 for c in diff.values()):
-        return ComparisonResult(Relation.LESS, SchurVector({p: -c for p, c in diff.items()}))
+        return ComparisonResult(Relation.LESS, _vector({p: -c for p, c in diff.items()}))
     return ComparisonResult(Relation.INCOMPARABLE)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 
 from .errors import DomainError
 
@@ -12,9 +14,17 @@ Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as ints; non-integers are refused, not truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalize to a partition tuple, dropping trailing zeros."""
-    t = tuple(int(p) for p in parts)
+    t = _integers(parts, "partition parts")
     while t and t[-1] == 0:
         t = t[:-1]
     prev = None
@@ -29,7 +39,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def as_composition(parts: Iterable[int]) -> Composition:
     """Validate and normalize to a composition tuple (all parts >= 1)."""
-    t = tuple(int(p) for p in parts)
+    t = _integers(parts, "composition parts")
     if any(p < 1 for p in t):
         raise DomainError(f"composition parts must be positive, got {t}")
     return t
@@ -41,13 +51,12 @@ def dominance_leq(mu: Iterable[int], lam: Iterable[int]) -> bool:
     lam = as_partition(lam)
     if sum(mu) != sum(lam):
         raise DomainError("dominance requires equal size")
-    pm = pl = 0
-    for a, b in zip(mu, lam):
-        pm += a
-        pl += b
-        if pm > pl:
-            return False
-    return True
+    return _dominated(mu, lam)
+
+
+def _dominated(mu: Partition, lam: Partition) -> bool:
+    """dominance_leq for partitions of one size, without validation."""
+    return all(a <= b for a, b in zip(accumulate(mu), accumulate(lam)))
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

@@ -9,7 +9,7 @@ from itertools import combinations
 from .diagrams import (
     DEFAULT_ENUMERATION_LIMIT,
     SkewDiagram,
-    _rectangle_table,
+    _statistics,
     enumerate_basic_skew,
     is_ribbon,
     profile,
@@ -24,7 +24,7 @@ from .lr import (
     expand,
     is_multiplicity_free_vec,
 )
-from .partitions import Partition, dominance_leq, partitions_of
+from .partitions import Partition, _dominated, partitions_of
 
 
 def necessary_filter(a: SkewDiagram, b: SkewDiagram) -> bool:
@@ -37,15 +37,11 @@ def necessary_filter(a: SkewDiagram, b: SkewDiagram) -> bool:
     """
     if a.size != b.size:
         raise DomainError("necessary_filter requires diagrams of equal size")
-    rows_a, cols_a = profile(a)
-    rows_b, cols_b = profile(b)
-    if not dominance_leq(rows_a, rows_b) or not dominance_leq(cols_a, cols_b):
+    rows_a, cols_a, table_a = _statistics(a.outer, a.inner)
+    rows_b, cols_b, table_b = _statistics(b.outer, b.inner)
+    if not _dominated(rows_a, rows_b) or not _dominated(cols_a, cols_b):
         return False
-    table_b = _rectangle_table(b.outer, b.inner)
-    for key, count in _rectangle_table(a.outer, a.inner).items():
-        if count > table_b.get(key, 0):
-            return False
-    return True
+    return all(count <= table_b.get(key, 0) for key, count in table_a.items())
 
 
 def compare_diagrams(

@@ -93,6 +93,43 @@ def normalized_cells(outer, inner) -> frozenset[tuple[int, int]]:
     return frozenset((row_at[r], col_at[c]) for r, c in cells)
 
 
+def is_connected_by_flood_fill(cells) -> bool:
+    """Whether the (row, col) cells form one edgewise-connected component."""
+    unseen = set(cells)
+    if not unseen:
+        return False
+    stack = [unseen.pop()]
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nb in unseen:
+                unseen.remove(nb)
+                stack.append(nb)
+    return not unseen
+
+
+def rectangle_table_by_cell_walk(cells) -> dict[tuple[int, int], int]:
+    """Map (m, n) -> number of m-by-n rectangles of cells, zero counts omitted.
+
+    From each cell as top-left corner, walk down one row at a time, keeping
+    the width of the run of cells common to all rows so far.
+    """
+    cells = set(cells)
+    table: dict[tuple[int, int], int] = {}
+    for i, j in cells:
+        width = len(cells)
+        m = 0
+        while (i + m, j) in cells and width:
+            run = 0
+            while run < width and (i + m, j + run) in cells:
+                run += 1
+            width = run
+            m += 1
+            for n in range(1, width + 1):
+                table[m, n] = table.get((m, n), 0) + 1
+    return table
+
+
 def basic_skew_cell_sets(n: int) -> set[frozenset[tuple[int, int]]]:
     """Every basic skew shape with n cells, as a normalized cell set."""
     shapes: set[frozenset[tuple[int, int]]] = set()

@@ -17,13 +17,15 @@ from schurpos import (
     rotate180,
     transpose,
 )
-from schurpos.diagrams import _rectangle_table
+from schurpos.diagrams import _statistics
 from schurpos.partitions import compositions_of, reverse
 
 from lr_reference import (
     basic_skew_cell_sets,
+    is_connected_by_flood_fill,
     normalized_cells,
     partitions_in_box,
+    rectangle_table_by_cell_walk,
     subpartitions,
 )
 
@@ -168,24 +170,45 @@ def test_rectangle_count_hand_values():
 
 def test_cached_rectangle_table_is_read_only():
     square = SkewDiagram((2, 2))
-    table = _rectangle_table(square.outer, square.inner)
+    _, _, table = _statistics(square.outer, square.inner)
     with pytest.raises(TypeError):
         table[1, 1] = 0
     assert rectangle_count(square, 1, 1) == 4
 
 
 def test_rectangle_count_brute_force():
-    def slow(d, m, n):
-        cells = set(d.cells())
+    # The closed forms for connectivity and rectangle counts, against a flood
+    # fill, a cell walk and the definition on every basic shape of at most 8
+    # cells.
+    def slow(cells, m, n):
         return sum(
             all((i + di, j + dj) in cells for di in range(m) for dj in range(n))
             for i, j in cells
         )
 
-    for d in enumerate_basic_skew(5):
+    shapes = [d for n in range(1, 9) for d in enumerate_basic_skew(n)]
+    assert len(shapes) == 3909
+    for d in shapes:
+        cells = set(d.cells())
+        assert is_connected(d) == is_connected_by_flood_fill(cells), d.notation()
+        table = rectangle_table_by_cell_walk(cells)
+        assert dict(_statistics(d.outer, d.inner)[2]) == table, d.notation()
         for m in range(1, 4):
             for n in range(1, 4):
-                assert rectangle_count(d, m, n) == slow(d, m, n)
+                assert rectangle_count(d, m, n) == slow(cells, m, n)
+    assert not is_connected(SkewDiagram())
+
+
+def test_unchecked_builders_match_the_public_constructor():
+    # ribbon_of, rotate180, transpose and enumerate_basic_skew build their
+    # results without validation; each must equal what the constructor makes
+    # of the same tuples, so no trailing zero or unreduced shape slips in.
+    built = [ribbon_of(alpha) for n in range(1, 11) for alpha in compositions_of(n)]
+    for d in (d for n in range(1, 9) for d in enumerate_basic_skew(n)):
+        built += [d, rotate180(d), transpose(d)]
+    built.append(rotate180(SkewDiagram()))
+    for d in built:
+        assert d == SkewDiagram(d.outer, d.inner), d
 
 
 def test_rectangle_count_rejects_non_positive_dimensions():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from schurpos import DomainError
+from schurpos import DomainError, SchurVector, SkewDiagram
 from schurpos.partitions import (
     as_composition,
     as_partition,
@@ -25,6 +25,20 @@ def test_as_partition_rejects_bad_input():
         as_partition((2, 3))
     with pytest.raises(DomainError, match="positive"):
         as_partition((3, -1))
+
+
+def test_validators_refuse_non_integers_instead_of_truncating():
+    # int() would read these as (2, 1), (3, 2), a coefficient of 1 and (2, 1).
+    with pytest.raises(DomainError, match="must be integers"):
+        SkewDiagram([2.9, 1.5])
+    with pytest.raises(DomainError, match="must be integers"):
+        as_partition(["3", "2"])
+    with pytest.raises(DomainError, match="must be integers"):
+        SchurVector({(2,): 1.9})
+    with pytest.raises(DomainError, match="must be integers"):
+        dominance_leq([2.5, 1], [3])
+    with pytest.raises(DomainError, match="must be integers"):
+        as_composition([1.0])
 
 
 def test_as_composition_rejects_non_positive_parts():
