@@ -213,6 +213,19 @@ def is_ribbon(diagram: SkewDiagram) -> bool:
     return _ribbon_rows(diagram.outer, diagram.inner) is not None
 
 
+def _ribbon_profile(alpha: Composition) -> tuple[Partition, Partition]:
+    """profile(ribbon_of(alpha)) without building the ribbon.
+
+    The rows are the parts of alpha.  The columns are the parts of the
+    complement composition, whose partial sums are {1, ..., n - 1} minus
+    those of alpha."""
+    n = sum(alpha)
+    cuts = set(accumulate(alpha))
+    ends = [i for i in range(1, n) if i not in cuts] + [n]
+    cols = [end - start for start, end in zip([0] + ends, ends)]
+    return tuple(sorted(alpha, reverse=True)), tuple(sorted(cols, reverse=True))
+
+
 @dataclass(frozen=True)
 class MfPattern:
     """A row profile written as (m, 1^k, n, 1^l), possibly after reversal.

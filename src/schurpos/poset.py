@@ -55,14 +55,15 @@ def compare_diagrams(
     necessary conditions fail in both directions no expansion is needed.
     Otherwise the answer comes from the full expansions.
     """
-    for d in (a, b):
-        if d.size > max_size:
-            raise DomainError(f"expansion limited to {max_size} cells, got {d.size}")
-    if a.size != b.size:
+    size_a, size_b = a.size, b.size
+    for size in (size_a, size_b):
+        if size > max_size:
+            raise DomainError(f"expansion limited to {max_size} cells, got {size}")
+    if size_a != size_b:
         return ComparisonResult(Relation.INCOMPARABLE)
     if a == b:
         return ComparisonResult(Relation.EQUAL, SchurVector())
-    if is_ribbon(a) and is_ribbon(b) and a.num_rows != b.num_rows:
+    if a.num_rows != b.num_rows and is_ribbon(a) and is_ribbon(b):
         return ComparisonResult(Relation.INCOMPARABLE)
     a_over_b = necessary_filter(a, b)
     b_over_a = necessary_filter(b, a)

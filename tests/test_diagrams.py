@@ -17,7 +17,7 @@ from schurpos import (
     rotate180,
     transpose,
 )
-from schurpos.diagrams import _statistics
+from schurpos.diagrams import _ribbon_profile, _statistics
 from schurpos.partitions import compositions_of, reverse
 
 from lr_reference import (
@@ -97,6 +97,14 @@ def test_ribbon_roundtrip_through_composition():
             assert d.size == n
             assert d.num_rows == len(alpha)
             assert composition_of(d) == alpha
+
+
+def test_closed_form_ribbon_profiles():
+    # Rows from alpha, columns from its complement composition.
+    assert _ribbon_profile((2, 1, 3)) == ((3, 2, 1), (3, 1, 1, 1))
+    for n in range(1, 13):
+        for alpha in compositions_of(n):
+            assert _ribbon_profile(alpha) == profile(ribbon_of(alpha)), alpha
 
 
 def test_is_ribbon_rejects_thick_and_disconnected_shapes():

@@ -1,7 +1,12 @@
 """Closed-form model of the multiplicity-free ribbon poset."""
 
+import dataclasses
+
 import pytest
 from order_reference import left_modular_set, trim_flags
+from verify_reference import verify_bigdiff_reference
+
+from schurpos import lattice
 
 from schurpos import (
     DomainError,
@@ -188,6 +193,31 @@ def test_closed_order_spot_check_against_expansions():
     assert len(vecs) == len(labels)
 
 
+@pytest.mark.parametrize("ctx", [(8, 4), (10, 4)])
+@pytest.mark.parametrize("wrong", ["arguments swapped", "one pair flipped"])
+def test_bigdiff_disagreements_match_the_ordered_reference(monkeypatch, ctx, wrong):
+    # A wrong closed form must be reported exactly as one comparison per
+    # ordered pair reports it: the mirrored half of the table is read, not
+    # recomputed, so this is where a mirroring mistake shows.
+    sound = lattice.leq_s_closed
+    labels = elements(*ctx)
+    flipped = (labels[2], labels[-3])
+    if wrong == "arguments swapped":
+        monkeypatch.setattr(lattice, "leq_s_closed", lambda x, y: sound(y, x))
+    else:
+        monkeypatch.setattr(
+            lattice, "leq_s_closed", lambda x, y: sound(x, y) != ((x, y) == flipped)
+        )
+    report = verify_bigdiff(*ctx)
+    assert report == verify_bigdiff_reference(*ctx)
+    assert report.checked == len(labels) ** 2
+    if wrong == "arguments swapped":
+        assert len(report.disagreements) > 1
+    else:
+        [text] = report.disagreements
+        assert text.startswith(f"{flipped[0]} <= {flipped[1]}: ")
+
+
 # --- meet and join ----------------------------------------------------------
 
 
@@ -353,6 +383,23 @@ def test_onlycovers_sweep():
     report = verify_onlycovers(10)
     assert report.ok, report.disagreements
     assert report.checked > 0
+
+
+def test_onlycovers_reports_evidence_that_misstates_the_profiles(monkeypatch):
+    sound = lattice.onlycovers_witness
+
+    def swapped(*args):
+        evidence = sound(*args)
+        if evidence.profiles is None:
+            return evidence
+        return dataclasses.replace(evidence, profiles=evidence.profiles[::-1])
+
+    monkeypatch.setattr(lattice, "onlycovers_witness", swapped)
+    report = verify_onlycovers(8)
+    dominance = [i for i in lattice._onlycovers_instances(8) if i[0] in (1, 3)]
+    assert len(report.disagreements) == len(dominance) > 0
+    for text in report.disagreements:
+        assert text.endswith(": evidence profiles are not the diagram profiles")
 
 
 # --- multiplicity-freeness sweep -------------------------------------------------
