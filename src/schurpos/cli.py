@@ -33,7 +33,7 @@ from .lattice import (
     verify_mflemma,
     verify_onlycovers,
 )
-from .lr import SchurVector, expand
+from .lr import SchurVector, _check_size, expand
 from .partitions import compositions_of
 from .poset import PosetModel, SchurClass, build_poset, compare_diagrams, convexity_report
 
@@ -108,8 +108,8 @@ def parse_shape(text: str, max_size: int | None = None) -> SkewDiagram:
         return ribbon_of(_int_list(s, 2, len(s)))
     if s.startswith("["):
         label = _label_with_context(s)
-        if max_size is not None and label.n > max_size:
-            raise DomainError(f"expansion limited to {max_size} cells, got {label.n}")
+        if max_size is not None:
+            _check_size(label.n, max_size)
         return ribbon_of(ribbon_of_label(label))
     slash = s.find("/")
     if slash < 0:
@@ -159,6 +159,11 @@ def _guard(value: int | None, default: int) -> int:
     return guard
 
 
+def _limit(what: str, n: int, guard: int) -> None:
+    if n > guard:
+        raise DomainError(f"{what} are limited to size {guard}, got {n}")
+
+
 def _key(parts: Sequence[int]) -> str:
     return ",".join(map(str, parts))
 
@@ -200,10 +205,7 @@ def _node_label(cls: SchurClass, style: str) -> str:
     rep = cls.representative
     if style == "rect":
         return str(label_of_ribbon(composition_of(rep)))
-    rows = _ribbon_rows(rep.outer, rep.inner)
-    if rows is not None:
-        return _key(rows)
-    return rep.notation()
+    return _shape_text(rep).removeprefix("r:")
 
 
 def _emit_poset(model: PosetModel, fmt: str, style: str) -> None:
@@ -237,13 +239,11 @@ def _cmd_poset(args: argparse.Namespace) -> int:
         raise UsageError("--label-style rect requires --ribbons --mf and --rows")
     if args.ribbons:
         guard = _guard(args.max_size, EXPANSION_GUARD)
-        if args.n > guard:
-            raise DomainError(f"ribbon posets are limited to size {guard}, got {args.n}")
+        _limit("ribbon posets", args.n, guard)
         diagrams = [
             ribbon_of(c)
-            for c in compositions_of(args.n)
-            if (args.rows is None or len(c) == args.rows)
-            and (not args.mf or mf_pattern(c) is not None)
+            for c in compositions_of(args.n, args.rows)
+            if not args.mf or mf_pattern(c) is not None
         ]
     else:
         guard = _guard(args.max_size, ENUMERATION_GUARD)
@@ -260,9 +260,7 @@ def _cmd_mf(args: argparse.Namespace) -> int:
             f"mf {args.action} takes {wanted[args.action]} label argument(s), "
             f"got {len(args.labels)}"
         )
-    guard = _guard(args.max_size, TRIM_GUARD)
-    if n > guard:
-        raise DomainError(f"multiplicity-free lattices are limited to size {guard}, got {n}")
+    _limit("multiplicity-free lattices", n, _guard(args.max_size, TRIM_GUARD))
     if args.action == "list":
         for label in elements(n, rows):
             print(f"{label} r:{_key(ribbon_of_label(label))}")
@@ -305,9 +303,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = convexity_report(args.n, _guard(args.max_size, ENUMERATION_GUARD))
     else:
         _require(args, "n", "rows")
-        guard = _guard(args.max_size, TRIM_GUARD)
-        if args.n > guard:
-            raise DomainError(f"trim statistics are limited to size {guard}, got {args.n}")
+        _limit("trim statistics", args.n, _guard(args.max_size, TRIM_GUARD))
         result = trim_report(args.n, args.rows)
         print(f"join-irreducibles: {result.join_irreducibles}")
         print(f"meet-irreducibles: {result.meet_irreducibles}")

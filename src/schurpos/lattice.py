@@ -225,17 +225,16 @@ def label_of_ribbon(alpha: Iterable[int]) -> RectLabel:
         raise DomainError(
             f"no rectangle label: {alpha} needs 2 <= rows <= size - 1"
         )
-    if mf_pattern(alpha) is None:
+    patterns = {mf_pattern(beta) for beta in {alpha, reverse(alpha)}}
+    if None in patterns:
         raise DomainError(f"{alpha} is not a multiplicity-free ribbon")
-    found = set()
-    for beta in {alpha, reverse(alpha)}:
-        big = [q for q in range(1, ell) if beta[q] > 1]
-        if len(big) > 1:
-            continue
-        if big:
-            found.add(canonical_label(big[0], beta[big[0]] - 1, total, ell))
-        else:
-            found.add(canonical_label(ell - 1, total - ell, total, ell))
+    # A reading (m, 1^k, n, 1^l) sits at [k + 1, n - 1], or at the bottom when n = 1.
+    found = {
+        canonical_label(p.k + 1, p.n - 1, total, ell)
+        if p.n > 1
+        else canonical_label(ell - 1, total - ell, total, ell)
+        for p in patterns
+    }
     if len(found) != 1:
         raise RuntimeError(
             f"label candidates disagree for {alpha}: {sorted(map(str, found))}"
@@ -297,6 +296,13 @@ def fourcovers_pair(
     upper one is the neighbouring pattern in the relevant chain direction.
     """
     _check_fourcovers(case, m, k, n, l)
+    return _cover_ribbons(case, m, k, n, l)
+
+
+def _cover_ribbons(
+    case: int, m: int, k: int, n: int, l: int
+) -> tuple[Composition, Composition]:
+    """fourcovers_pair without the hypothesis check."""
     base = (m,) + (1,) * k + (n,) + (1,) * l
     if case == 1:
         return (n - 1,) + (1,) * k + (m + 1,) + (1,) * l, base
@@ -351,19 +357,15 @@ def onlycovers_pair(
 ) -> tuple[Composition, Composition]:
     """Ribbons (x, y) certified to satisfy "x is not below y".
 
-    `alt` carries the independent parameters of y: (k', l') with
-    k' + l' = k + l for cases 1 and 2, (m', n') with m' + n' = m + n for
-    cases 3 and 4.
+    x is the upper ribbon of the family's cover at (m, k, n, l); y is its
+    lower ribbon with `alt` in place of (k, l) (cases 1, 2) or (m, n) (cases
+    3, 4), keeping their sum.  x covers its own lower ribbon and lies below
+    none of the family's lower ribbons with the same sums.
     """
     _check_onlycovers(case, m, k, n, l, alt)
-    p, q = alt
-    if case == 1:
-        return (n - 1,) + (1,) * k + (m + 1,) + (1,) * l, (m,) + (1,) * p + (n,) + (1,) * q
-    if case == 2:
-        return (m,) + (1,) * k + (n,) + (1,) * l, (n,) + (1,) * p + (m,) + (1,) * q
-    if case == 3:
-        return (m,) + (1,) * k + (n,) + (1,) * l, (p,) + (1,) * l + (q,) + (1,) * k
-    return (m,) + (1,) * (l - 1) + (n,) + (1,) * (k + 1), (p,) + (1,) * k + (q,) + (1,) * l
+    params = {"m": m, "k": k, "n": n, "l": l}
+    params.update(zip(_FAMILIES[case][2], alt))
+    return _cover_ribbons(case, m, k, n, l)[0], _cover_ribbons(case, **params)[1]
 
 
 @dataclass(frozen=True)
@@ -465,12 +467,11 @@ def verify_onlycovers(max_size: int = 12) -> VerifyReport:
     bad = []
     ribbons: dict[Composition, SkewDiagram] = {}
     for case, m, k, n, l, alt in _onlycovers_instances(max_size):
-        x, y = onlycovers_pair(case, m, k, n, l, alt)
-        for alpha in (x, y):
+        evidence = onlycovers_witness(case, m, k, n, l, alt)
+        for alpha in (evidence.lhs, evidence.rhs):
             if alpha not in ribbons:
                 ribbons[alpha] = ribbon_of(alpha)
-        lower, upper = ribbons[x], ribbons[y]
-        evidence = onlycovers_witness(case, m, k, n, l, alt)
+        lower, upper = ribbons[evidence.lhs], ribbons[evidence.rhs]
         tag = f"case {case}, (m,k,n,l)=({m},{k},{n},{l}), alt={alt}"
         checked += 1
         result = compare_diagrams(upper, lower, max_size)

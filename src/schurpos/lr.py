@@ -213,11 +213,14 @@ def expand(diagram: SkewDiagram, max_size: int = DEFAULT_EXPANSION_LIMIT) -> Sch
     reading order and cut as soon as the lattice prefix condition fails.  Each
     shape is expanded once per process; repeats return the same vector.
     """
-    if diagram.size > max_size:
-        raise DomainError(
-            f"expansion limited to {max_size} cells, got {diagram.size}"
-        )
+    _check_size(diagram.size, max_size)
     return _expansion(diagram.outer, diagram.inner)
+
+
+def _check_size(size: int, max_size: int) -> None:
+    """Refuse a shape of more than max_size cells before any work on it."""
+    if size > max_size:
+        raise DomainError(f"expansion limited to {max_size} cells, got {size}")
 
 
 def omega_vec(vec: SchurVector) -> SchurVector:

@@ -20,6 +20,7 @@ from .lr import (
     ComparisonResult,
     Relation,
     SchurVector,
+    _check_size,
     compare_vectors,
     expand,
     is_multiplicity_free_vec,
@@ -51,20 +52,18 @@ def compare_diagrams(
 
     Either diagram above max_size cells is an error, raised before any other
     work.  Inexpensive refutations run next: diagrams of different sizes are
-    incomparable, as are ribbons with different row counts; when the
-    necessary conditions fail in both directions no expansion is needed.
-    Otherwise the answer comes from the full expansions.
+    incomparable, and so are pairs the necessary conditions refute both ways.
+    Those include all ribbons with different row counts: a dominated profile
+    has at least as many parts, and a ribbon of n cells has n + 1 rows and
+    columns together.  Otherwise the answer comes from the full expansions.
     """
     size_a, size_b = a.size, b.size
-    for size in (size_a, size_b):
-        if size > max_size:
-            raise DomainError(f"expansion limited to {max_size} cells, got {size}")
+    _check_size(size_a, max_size)
+    _check_size(size_b, max_size)
     if size_a != size_b:
         return ComparisonResult(Relation.INCOMPARABLE)
     if a == b:
         return ComparisonResult(Relation.EQUAL, SchurVector())
-    if a.num_rows != b.num_rows and is_ribbon(a) and is_ribbon(b):
-        return ComparisonResult(Relation.INCOMPARABLE)
     a_over_b = necessary_filter(a, b)
     b_over_a = necessary_filter(b, a)
     if not a_over_b and not b_over_a:

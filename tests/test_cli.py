@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import schurpos
-from schurpos import SkewDiagram, ribbon_of
+from schurpos import DomainError, SkewDiagram, ribbon_of
 from schurpos.cli import ParseError, main, parse_label, parse_shape
 from schurpos.poset import VerifyReport
 
@@ -46,6 +46,12 @@ def test_parse_shape_error_positions():
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment.replace("[", r"\[")):
             parse_shape(text)
+
+
+def test_parse_shape_refuses_a_label_context_before_building_its_ribbon():
+    # Without the guard this label builds a ribbon of ten million rows.
+    with pytest.raises(DomainError, match="expansion limited to 14 cells, got 20000000"):
+        parse_shape("[9999998,1]@20000000,10000000", 14)
 
 
 def test_parse_label_accepts_both_spellings():

@@ -25,18 +25,20 @@ from schurpos import (
     leq_s_closed,
     meet,
     mf_pattern,
+    omega_vec,
     onlycovers_pair,
     onlycovers_witness,
     ribbon_of,
     ribbon_of_label,
     schubert_pair,
+    transpose,
     trim_report,
     verify_bigdiff,
     verify_fourcovers,
     verify_mflemma,
     verify_onlycovers,
 )
-from schurpos.lattice import _chain, _rank
+from schurpos.lattice import _FAMILIES, _chain, _pattern_params, _rank
 from schurpos.partitions import compositions_of, reverse
 from schurpos.poset import _left_modular
 
@@ -331,6 +333,36 @@ def test_fourcovers_rejects_broken_hypotheses():
         fourcovers_pair(5, 1, 0, 3, 0)
     with pytest.raises(DomainError, match="m, n >= 1"):
         fourcovers_pair(1, 0, 0, 3, 0)
+
+
+# Case 3 (resp. 4) at (m, k, n, l) is the omega image of case 1 (resp. 2) at
+# these parameters; alternates (m', n') of case 3 or 4 map to (n' - 2, m' - 1).
+OMEGA_SOURCES = {
+    3: (1, lambda m, k, n, l: (k + 1, n - 2, l + 2, m - 1)),
+    4: (2, lambda m, k, n, l: (k + 2, n - 2, l + 1, m - 1)),
+}
+
+
+def test_cover_families_3_and_4_are_the_omega_images_of_1_and_2():
+    def transposed(ribbons):
+        return [transpose(ribbon_of(alpha)) for alpha in ribbons]
+
+    for case, (source, source_params) in OMEGA_SOURCES.items():
+        instances = [p for p in _pattern_params(12) if _FAMILIES[case][0](*p)]
+        assert instances
+        for m, k, n, l in instances:
+            params = source_params(m, k, n, l)
+            assert transposed(fourcovers_pair(source, *params)) == [
+                ribbon_of(alpha) for alpha in fourcovers_pair(case, m, k, n, l)
+            ]
+            assert omega_vec(fourcovers_delta(source, *params)) == fourcovers_delta(
+                case, m, k, n, l
+            )
+            for p in range(1, m + n - 1):
+                alt, source_alt = (p, m + n - p), (m + n - p - 2, p - 1)
+                assert transposed(onlycovers_pair(source, *params, source_alt)) == [
+                    ribbon_of(alpha) for alpha in onlycovers_pair(case, m, k, n, l, alt)
+                ]
 
 
 def test_fourcovers_pairs_are_genuine_covers_in_context():

@@ -7,6 +7,9 @@ cells test the necessary conditions and the antisymmetry of the order.
 Draws are derandomized, so runs repeat.
 """
 
+import contextlib
+import io
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -26,7 +29,7 @@ from schurpos import (
     rotate180,
     transpose,
 )
-from schurpos.cli import _shape_text, parse_shape
+from schurpos.cli import _shape_text, main, parse_shape
 from schurpos.lr import _lr_expansion, _ribbon_expansion
 
 SIZES = st.integers(min_value=9, max_value=14)
@@ -135,3 +138,84 @@ def test_compare_diagrams_is_antisymmetric(pair):
 @given(st.one_of(basic_skew_shapes(), compositions().map(ribbon_of)))
 def test_shape_text_parses_back(d):
     assert parse_shape(_shape_text(d)) == d
+
+
+# --- fuzzed command lines ------------------------------------------------------
+# Every integer token is at most 6, and every verify sweep carries a
+# --max-size token, so each run takes milliseconds.  Tokens are mostly well
+# formed, so that runs get past the parser.
+
+NUMBERS = st.sampled_from([*"123456" * 4, "0", "-1", "", "x", "1.5", "06"])
+INT_LISTS = st.lists(NUMBERS, min_size=1, max_size=3).map(",".join)
+SHAPE_TEXTS = st.one_of(
+    INT_LISTS,
+    st.builds("{}/{}".format, INT_LISTS, INT_LISTS),
+    INT_LISTS.map("r:{}".format),
+    st.builds("[{}]@{}".format, INT_LISTS, INT_LISTS),
+    st.sampled_from(["", " ", "[", "[1,2]", "[1,2]@", "r:", "/", "3,,2", "2/3", "abc"]),
+)
+LABEL_TEXTS = st.one_of(
+    st.builds("[{},{}]".format, NUMBERS, NUMBERS),
+    st.builds("{},{}".format, NUMBERS, NUMBERS),
+    SHAPE_TEXTS,
+)
+FLAG_VALUES = {
+    "--n": NUMBERS,
+    "--rows": NUMBERS,
+    "--max-size": NUMBERS,
+    "--format": st.sampled_from(["json", "dot", "xml"]),
+    "--label-style": st.sampled_from(["comp", "rect", ""]),
+}
+SWITCHES = ["--ribbons", "--mf", "--show-difference"]
+MF_LABELS = {"list": 0, "covers": 0, "leq": 2, "meet": 2, "join": 2, "schubert": 1}
+# The flags each command knows, drawn more often than the others.
+OWN_FLAGS = {
+    "expand": ["--max-size"],
+    "compare": ["--show-difference", "--max-size"],
+    "poset": ["--ribbons", "--rows", "--mf", "--format", "--label-style", "--max-size"],
+    "mf": ["--max-size"],
+    "verify": ["--n", "--rows"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for schurpos: a command, its positionals, and a mix of flags."""
+    command = draw(st.sampled_from([*OWN_FLAGS] * 3 + ["nope"]))
+    argv = [command]
+    flags = []
+    if command == "expand":
+        argv.append(draw(SHAPE_TEXTS))
+    elif command == "compare":
+        argv += [draw(SHAPE_TEXTS), draw(SHAPE_TEXTS)]
+    elif command == "poset":
+        flags = ["--n"]
+    elif command == "mf":
+        action, wanted = draw(st.sampled_from([*MF_LABELS.items()]))
+        count = draw(st.sampled_from([wanted] * 3 + [0, 1, 2]))
+        argv += [action] + [draw(LABEL_TEXTS) for _ in range(count)]
+        flags = ["--n", "--rows"]
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(
+            ["fourcovers", "onlycovers", "bigdiff", "convexity", "trim", "mflemma"]
+        )))
+        flags = ["--max-size", "--n", "--rows"]
+    mix = OWN_FLAGS.get(command, []) * 3 + [*FLAG_VALUES, *SWITCHES]
+    flags += draw(st.lists(st.sampled_from(mix), max_size=4))
+    for flag in flags:
+        argv.append(flag)
+        if flag in FLAG_VALUES:
+            argv.append(draw(FLAG_VALUES[flag]))
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(command_lines())
+def test_cli_exits_with_a_code_and_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
