@@ -34,7 +34,7 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import VerifyReport, _trim_stats, compare_diagrams
+from .poset import VerifyReport, _trim_stats, build_poset, compare_diagrams
 
 
 def _is_canonical(a: int, b: int, ell: int, nl: int) -> bool:
@@ -146,20 +146,15 @@ def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
 
 
 def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
-    """Greatest lower bound.
+    """Greatest lower bound: componentwise minimum in chain rank.
 
-    The componentwise chain minimum [a, b] works except when one coordinate
-    bottoms out: then the other is reflected through the relevant boundary
-    identification before the label is read off.
+    The chain minimum [a, b] is read off through canonical_label, which folds
+    it through the boundary identifications when a coordinate bottoms out.
     """
     _same_context(l1, l2)
     h, w = l1.rows - 1, l1.n - l1.rows
     a = min(l1.a, l2.a, key=lambda x: _rank(x, h))
     b = min(l1.b, l2.b, key=lambda x: _rank(x, w))
-    if a == h and 2 * b > w:
-        b = w - b
-    elif b == w and 2 * a > h:
-        a = h - a
     return canonical_label(a, b, l1.n, l1.rows)
 
 
@@ -421,38 +416,42 @@ def _pattern_params(max_total: int) -> Iterator[tuple[int, int, int, int]]:
                     yield m, k, n, l
 
 
+def _fourcovers_instances(max_total: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Each (case, m, k, n, l) of total size <= max_total that meets the
+    hypothesis of its case."""
+    for case, (holds, *_) in _FAMILIES.items():
+        for m, k, n, l in _pattern_params(max_total):
+            if holds(m, k, n, l):
+                yield case, m, k, n, l
+
+
 def verify_fourcovers(max_size: int = 12) -> VerifyReport:
     """Check every closed-form cover difference of total size <= max_size."""
     checked = 0
     bad = []
-    for case, (holds, *_) in _FAMILIES.items():
-        for m, k, n, l in _pattern_params(max_size):
-            if not holds(m, k, n, l):
-                continue
-            upper, lower = fourcovers_pair(case, m, k, n, l)
-            claimed = fourcovers_delta(case, m, k, n, l)
-            result = compare_vectors(
-                expand(ribbon_of(upper), max_size), expand(ribbon_of(lower), max_size)
+    for case, m, k, n, l in _fourcovers_instances(max_size):
+        upper, lower = fourcovers_pair(case, m, k, n, l)
+        claimed = fourcovers_delta(case, m, k, n, l)
+        result = compare_vectors(
+            expand(ribbon_of(upper), max_size), expand(ribbon_of(lower), max_size)
+        )
+        checked += 1
+        if result.relation is not Relation.GREATER or result.difference != claimed:
+            bad.append(
+                f"case {case}, (m,k,n,l)=({m},{k},{n},{l}): "
+                f"expansion gives {result.relation.value}, claimed difference mismatch"
             )
-            checked += 1
-            if result.relation is not Relation.GREATER or result.difference != claimed:
-                bad.append(
-                    f"case {case}, (m,k,n,l)=({m},{k},{n},{l}): "
-                    f"expansion gives {result.relation.value}, claimed difference mismatch"
-                )
     return VerifyReport(checked, tuple(bad))
 
 
 def _onlycovers_instances(
     max_size: int,
 ) -> Iterator[tuple[int, int, int, int, int, tuple[int, int]]]:
-    for case, (holds, _, _, (least_p, least_q)) in _FAMILIES.items():
-        for m, k, n, l in _pattern_params(max_size):
-            if not holds(m, k, n, l):
-                continue
-            total = _alt_total(case, m, k, n, l)
-            for p in range(least_p, total - least_q + 1):
-                yield case, m, k, n, l, (p, total - p)
+    for case, m, k, n, l in _fourcovers_instances(max_size):
+        least_p, least_q = _FAMILIES[case][3]
+        total = _alt_total(case, m, k, n, l)
+        for p in range(least_p, total - least_q + 1):
+            yield case, m, k, n, l, (p, total - p)
 
 
 def verify_onlycovers(max_size: int = 12) -> VerifyReport:
@@ -493,41 +492,35 @@ def verify_onlycovers(max_size: int = 12) -> VerifyReport:
     return VerifyReport(checked, tuple(bad))
 
 
-_MIRROR = {
-    Relation.GREATER: Relation.LESS,
-    Relation.LESS: Relation.GREATER,
-    Relation.EQUAL: Relation.EQUAL,
-    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
-}
-
-
 def verify_bigdiff(
     n: int, rows: int, max_size: int = DEFAULT_EXPANSION_LIMIT
 ) -> VerifyReport:
     """Compare the closed-form order with the expansion order on every pair.
 
-    compare_diagrams is antisymmetric (swapping its arguments swaps GREATER
-    and LESS), so each unordered pair is expanded once and its mirror read
-    off.
+    The expansion order is read off the up-sets of build_poset on the labels'
+    ribbons; a disagreement names how y's ribbon compares with x's.
     """
     labels = elements(n, rows)
     diagrams = [ribbon_of(ribbon_of_label(label)) for label in labels]
-    # relations[i, j]: how diagrams[j] compares with diagrams[i].
-    relations: dict[tuple[int, int], Relation] = {}
-    for i, lower in enumerate(diagrams):
-        for j in range(i, len(diagrams)):
-            relation = compare_diagrams(diagrams[j], lower, max_size).relation
-            relations[i, j] = relation
-            relations[j, i] = _MIRROR[relation]
+    model = build_poset(diagrams, max_size)
+    class_of = {d: c for c, cls in enumerate(model.classes) for d in cls.members}
+    index = [class_of[d] for d in diagrams]
     checked = 0
     bad = []
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
+    for x, i in zip(labels, index):
+        for y, j in zip(labels, index):
             checked += 1
             closed = leq_s_closed(x, y)
-            relation = relations[i, j]
-            oracle = relation in (Relation.GREATER, Relation.EQUAL)
+            oracle = bool(model.up[i] >> j & 1)
             if closed != oracle:
+                if i == j:
+                    relation = Relation.EQUAL
+                elif oracle:
+                    relation = Relation.GREATER
+                elif model.up[j] >> i & 1:
+                    relation = Relation.LESS
+                else:
+                    relation = Relation.INCOMPARABLE
                 bad.append(
                     f"{x} <= {y}: closed form says {closed}, expansion says "
                     f"{relation.value}"

@@ -9,6 +9,7 @@ complete reverse reading word only after a filling is finished.
 from __future__ import annotations
 
 from itertools import product
+from math import factorial, prod
 
 
 def skew_cells(outer: tuple[int, ...], inner: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -140,3 +141,35 @@ def basic_skew_cell_sets(n: int) -> set[frozenset[tuple[int, int]]]:
             if sum(lam) - sum(mu) == n:
                 shapes.add(normalized_cells(lam, mu))
     return shapes
+
+
+def standard_tableaux(lam: tuple[int, ...]) -> int:
+    """f^lam by the hook-length formula."""
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    hooks = prod(
+        (lam[i] - j - 1) + (cols[j] - i - 1) + 1
+        for i in range(len(lam))
+        for j in range(lam[i])
+    )
+    return factorial(sum(lam)) // hooks
+
+
+def count_standard_fillings(outer, inner=()) -> int:
+    """Standard fillings of outer/inner, counted by the cell of the largest entry.
+
+    That cell ends a row longer than both the row below it and inner's row,
+    and removing it leaves the shape the smaller entries fill.
+    """
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    memo: dict[tuple[int, ...], int] = {inner: 1}
+
+    def count(shape: tuple[int, ...]) -> int:
+        if shape not in memo:
+            memo[shape] = sum(
+                count(shape[:r] + (width - 1,) + shape[r + 1:])
+                for r, width in enumerate(shape)
+                if width > max(shape[r + 1] if r + 1 < len(shape) else 0, inner[r])
+            )
+        return memo[shape]
+
+    return count(tuple(outer))

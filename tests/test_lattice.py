@@ -13,6 +13,7 @@ from schurpos import (
     RectLabel,
     Relation,
     SchurVector,
+    build_poset,
     canonical_label,
     compare_diagrams,
     covers,
@@ -25,6 +26,7 @@ from schurpos import (
     leq_s_closed,
     meet,
     mf_pattern,
+    necessary_filter,
     omega_vec,
     onlycovers_pair,
     onlycovers_witness,
@@ -40,7 +42,7 @@ from schurpos import (
 )
 from schurpos.lattice import _FAMILIES, _chain, _pattern_params, _rank
 from schurpos.partitions import compositions_of, reverse
-from schurpos.poset import _left_modular
+from schurpos.poset import _bits, _left_modular
 
 
 # --- labels and their identifications ------------------------------------
@@ -199,8 +201,8 @@ def test_closed_order_spot_check_against_expansions():
 @pytest.mark.parametrize("wrong", ["arguments swapped", "one pair flipped"])
 def test_bigdiff_disagreements_match_the_ordered_reference(monkeypatch, ctx, wrong):
     # A wrong closed form must be reported exactly as one comparison per
-    # ordered pair reports it: the mirrored half of the table is read, not
-    # recomputed, so this is where a mirroring mistake shows.
+    # ordered pair reports it: the relation named in each text is read off
+    # build_poset's up-sets, so this is where a misread up-set shows.
     sound = lattice.leq_s_closed
     labels = elements(*ctx)
     flipped = (labels[2], labels[-3])
@@ -218,6 +220,23 @@ def test_bigdiff_disagreements_match_the_ordered_reference(monkeypatch, ctx, wro
     else:
         [text] = report.disagreements
         assert text.startswith(f"{flipped[0]} <= {flipped[1]}: ")
+
+
+def test_necessary_filter_admits_every_relation_bigdiff_reads():
+    # verify_bigdiff reads the order off build_poset, which does not run the
+    # soundness check compare_diagrams makes; this makes it on the same pairs.
+    pairs = 0
+    for n in range(3, 15):
+        for rows in range(2, n):
+            labels = elements(n, rows)
+            model = build_poset(ribbon_of(ribbon_of_label(label)) for label in labels)
+            assert len(model) == len(labels)
+            for lower, above in zip(model.classes, model.up):
+                for j in _bits(above):
+                    pairs += 1
+                    x, y = lower.representative, model.classes[j].representative
+                    assert necessary_filter(y, x), (x, y)
+    assert pairs == 9214
 
 
 # --- meet and join ----------------------------------------------------------

@@ -21,9 +21,9 @@ from schurpos import (
     transpose,
 )
 from schurpos.lr import _lr_expansion, _ribbon_expansion
-from schurpos.partitions import compositions_of, conjugate, partitions_of
+from schurpos.partitions import compositions_of, partitions_of
 
-from lr_reference import schur_expansion
+from lr_reference import schur_expansion, standard_tableaux
 
 
 # --- SchurVector ---------------------------------------------------------
@@ -150,17 +150,6 @@ def test_expand_size_guard():
 
 
 # --- ribbons: standard tableaux with a fixed descent set -----------------
-
-
-def standard_tableaux(lam):
-    """f^lam by the hook-length formula."""
-    cols = conjugate(lam)
-    hooks = prod(
-        (lam[i] - j - 1) + (cols[j] - i - 1) + 1
-        for i in range(len(lam))
-        for j in range(lam[i])
-    )
-    return factorial(sum(lam)) // hooks
 
 
 def permutations_with_descent_set(alpha):

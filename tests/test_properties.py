@@ -2,9 +2,11 @@
 
 The exhaustive symmetry checks in test_lr.py stop at 7 or 8 cells; these
 draw shapes of 9 to 14 cells and cross the two expansion paths (tableau
-counting for ribbons, the LR search for everything else).  Pairs of 7 to 10
-cells test the necessary conditions and the antisymmetry of the order.
-Draws are derandomized, so runs repeat.
+counting for ribbons, the LR search for everything else), and count the
+standard fillings their coefficients must add up to.  Pairs of 7 to 10 cells
+test the necessary conditions and the antisymmetry of the order; its
+transitivity is checked on every shape of at most 6 cells.  Draws are
+derandomized, so runs repeat.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from schurpos import (
     SkewDiagram,
     compare_diagrams,
     compare_vectors,
+    enumerate_basic_skew,
     expand,
     necessary_filter,
     omega_vec,
@@ -31,6 +34,9 @@ from schurpos import (
 )
 from schurpos.cli import _shape_text, main, parse_shape
 from schurpos.lr import _lr_expansion, _ribbon_expansion
+from schurpos.partitions import partitions_of
+
+from lr_reference import count_standard_fillings, standard_tableaux
 
 SIZES = st.integers(min_value=9, max_value=14)
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -132,6 +138,38 @@ def test_compare_diagrams_is_antisymmetric(pair):
     assert (forward.relation is Relation.LESS) == (backward.relation is Relation.GREATER)
     assert (forward.relation is Relation.GREATER) == (backward.relation is Relation.LESS)
     assert forward.difference == backward.difference
+
+
+def test_hook_length_formula_counts_standard_fillings():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            assert standard_tableaux(lam) == count_standard_fillings(lam), lam
+
+
+@PROPERTY
+@given(st.one_of(basic_skew_shapes(), compositions().map(ribbon_of)))
+def test_coefficients_weighted_by_f_lambda_count_standard_fillings(d):
+    # s_{lam/mu} = sum c_lam s_lam, read off at the coefficient of x_1 ... x_n.
+    total = sum(c * standard_tableaux(lam) for lam, c in expand(d).items())
+    assert total == count_standard_fillings(d.outer, d.inner)
+
+
+def test_compare_diagrams_is_transitive_on_small_shapes():
+    for n in range(1, 7):
+        shapes = enumerate_basic_skew(n)
+        # Bit j of at_most[i]: shapes[j] sits at or below shapes[i].
+        at_most = [
+            sum(
+                1 << j
+                for j, b in enumerate(shapes)
+                if compare_diagrams(a, b).relation in (Relation.GREATER, Relation.EQUAL)
+            )
+            for a in shapes
+        ]
+        for i, below in enumerate(at_most):
+            for j in range(len(shapes)):
+                if below >> j & 1:
+                    assert at_most[j] & ~below == 0, (shapes[i], shapes[j])
 
 
 @PROPERTY

@@ -1,9 +1,8 @@
 """The ordered double loop that verify_bigdiff replaced.
 
-verify_bigdiff expands each unordered label pair once and reads the mirrored
-relation off the same comparison.  This reference compares every ordered
-pair on its own, so its report is what verify_bigdiff must return, count,
-texts and order alike.  It reads `leq_s_closed` through the module at call
+verify_bigdiff reads the expansion order off build_poset's up-sets.  This
+reference compares every ordered pair on its own with compare_diagrams, so
+its report is what verify_bigdiff must return, count, texts and order alike.  It reads `leq_s_closed` through the module at call
 time, so a test that patches the closed form patches both.
 """
 
