@@ -6,7 +6,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import asdict
 
 from .diagrams import (
     SkewDiagram,
@@ -19,6 +20,7 @@ from .diagrams import (
 from .errors import DomainError
 from .lattice import (
     RectLabel,
+    TrimReport,
     covers,
     elements,
     join,
@@ -282,35 +284,34 @@ def _cmd_mf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"verify {args.what} requires {' and '.join(missing)}")
+def _trim(args: argparse.Namespace, guard: int) -> TrimReport:
+    _limit("trim statistics", args.n, guard)
+    return trim_report(args.n, args.rows)
+
+
+# Each verify choice: its default size guard, the context flags it requires,
+# and its run on the parsed flags and the guard.  The runs look the library
+# functions up when called, so a test can replace one.
+_VERIFY: dict[str, tuple[int, tuple[str, ...], Callable[[argparse.Namespace, int], object]]] = {
+    "fourcovers": (FAMILY_SWEEP_GUARD, (), lambda args, guard: verify_fourcovers(guard)),
+    "onlycovers": (FAMILY_SWEEP_GUARD, (), lambda args, guard: verify_onlycovers(guard)),
+    "bigdiff": (EXPANSION_GUARD, ("n", "rows"),
+                lambda args, guard: verify_bigdiff(args.n, args.rows, guard)),
+    "convexity": (ENUMERATION_GUARD, ("n",), lambda args, guard: convexity_report(args.n, guard)),
+    "trim": (TRIM_GUARD, ("n", "rows"), _trim),
+    "mflemma": (MF_SWEEP_GUARD, (), lambda args, guard: verify_mflemma(guard)),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.what == "fourcovers":
-        report = verify_fourcovers(_guard(args.max_size, FAMILY_SWEEP_GUARD))
-    elif args.what == "onlycovers":
-        report = verify_onlycovers(_guard(args.max_size, FAMILY_SWEEP_GUARD))
-    elif args.what == "mflemma":
-        report = verify_mflemma(_guard(args.max_size, MF_SWEEP_GUARD))
-    elif args.what == "bigdiff":
-        _require(args, "n", "rows")
-        report = verify_bigdiff(args.n, args.rows, _guard(args.max_size, EXPANSION_GUARD))
-    elif args.what == "convexity":
-        _require(args, "n")
-        report = convexity_report(args.n, _guard(args.max_size, ENUMERATION_GUARD))
-    else:
-        _require(args, "n", "rows")
-        _limit("trim statistics", args.n, _guard(args.max_size, TRIM_GUARD))
-        result = trim_report(args.n, args.rows)
-        print(f"join-irreducibles: {result.join_irreducibles}")
-        print(f"meet-irreducibles: {result.meet_irreducibles}")
-        print(f"longest-chain-elements: {result.longest_chain_elements}")
-        print(f"left-modular-max-chain: {str(result.left_modular_max_chain).lower()}")
-        print(f"spine-left-modular: {str(result.spine_left_modular).lower()}")
-        print(f"spine-distributive: {str(result.spine_distributive).lower()}")
+    default, needs, run = _VERIFY[args.what]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"verify {args.what} requires {' and '.join(missing)}")
+    report = run(args, _guard(args.max_size, default))
+    if isinstance(report, TrimReport):
+        for name, value in asdict(report).items():
+            print(f"{name.replace('_', '-')}: {str(value).lower()}")
         return 0
     if report.ok:
         print(f"checked {report.checked} instances: OK")
@@ -369,8 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mf)
 
     p = sub.add_parser("verify", help="cross-check closed forms against expansions")
-    p.add_argument("what", choices=("fourcovers", "onlycovers", "bigdiff",
-                                    "convexity", "trim", "mflemma"))
+    p.add_argument("what", choices=tuple(_VERIFY))
     p.add_argument("--n", type=_positive, help="number of cells, where applicable")
     p.add_argument("--rows", type=_positive, help="number of ribbon rows, where applicable")
     p.add_argument("--max-size", type=_positive, metavar="M",
@@ -385,7 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point stdout at
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

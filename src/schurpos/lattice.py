@@ -255,21 +255,16 @@ def schubert_pair(label: RectLabel) -> tuple[Partition, Partition]:
 # --- exact difference formulas for the four cover families -----------------
 
 # One row per cover family of the pattern (m, 1^k, n, 1^l): the hypothesis on
-# (m, k, n, l) and its text; then the two pattern parameters that the
-# alternate pair of onlycovers_pair replaces, keeping their sum, and the least
-# values of that pair.
-_FAMILIES: dict[int, tuple[Callable[..., bool], str, str, tuple[int, int]]] = {
-    1: (lambda m, k, n, l: n - 1 > m, "n - 1 > m", "kl", (0, 0)),
-    2: (lambda m, k, n, l: n > m and l >= 1, "n > m and l >= 1", "kl", (0, 0)),
-    3: (lambda m, k, n, l: n >= 2 and l > k, "n >= 2 and l > k", "mn", (1, 2)),
+# (m, k, n, l) and its text; then the positions in (m, k, n, l) of the pair
+# that the alternate of onlycovers_pair replaces, keeping its sum, and the
+# least values of that pair.
+_FAMILIES: dict[int, tuple[Callable[..., bool], str, tuple[int, int], tuple[int, int]]] = {
+    1: (lambda m, k, n, l: n - 1 > m, "n - 1 > m", (1, 3), (0, 0)),
+    2: (lambda m, k, n, l: n > m and l >= 1, "n > m and l >= 1", (1, 3), (0, 0)),
+    3: (lambda m, k, n, l: n >= 2 and l > k, "n >= 2 and l > k", (0, 2), (1, 2)),
     4: (lambda m, k, n, l: m >= 2 and n >= 2 and l - 1 > k,
-        "m >= 2, n >= 2 and l - 1 > k", "mn", (1, 2)),
+        "m >= 2, n >= 2 and l - 1 > k", (0, 2), (1, 2)),
 }
-
-
-def _alt_total(case: int, m: int, k: int, n: int, l: int) -> int:
-    params = {"m": m, "k": k, "n": n, "l": l}
-    return sum(params[name] for name in _FAMILIES[case][2])
 
 
 def _check_fourcovers(case: int, m: int, k: int, n: int, l: int) -> None:
@@ -333,18 +328,24 @@ def fourcovers_delta(case: int, m: int, k: int, n: int, l: int) -> SchurVector:
 
 # --- certified non-relations ------------------------------------------------
 
-def _check_onlycovers(
+def _alternate_params(
     case: int, m: int, k: int, n: int, l: int, alt: tuple[int, int]
-) -> None:
+) -> list[int]:
+    """(m, k, n, l) with the family's alternate pair replaced by alt, once
+    the pattern and alt are checked."""
     _check_fourcovers(case, m, k, n, l)
-    _, _, (x, y), (least_p, least_q) = _FAMILIES[case]
+    _, _, (i, j), (least_p, least_q) = _FAMILIES[case]
+    params = [m, k, n, l]
+    x, y = "mknl"[i], "mknl"[j]
     p, q = alt
     if p < least_p or q < least_q:
         raise DomainError(
             f"case {case} requires {x}' >= {least_p} and {y}' >= {least_q}"
         )
-    if p + q != _alt_total(case, m, k, n, l):
+    if p + q != params[i] + params[j]:
         raise DomainError(f"case {case} requires {x}' + {y}' = {x} + {y}")
+    params[i], params[j] = p, q
+    return params
 
 
 def onlycovers_pair(
@@ -357,10 +358,12 @@ def onlycovers_pair(
     3, 4), keeping their sum.  x covers its own lower ribbon and lies below
     none of the family's lower ribbons with the same sums.
     """
-    _check_onlycovers(case, m, k, n, l, alt)
-    params = {"m": m, "k": k, "n": n, "l": l}
-    params.update(zip(_FAMILIES[case][2], alt))
-    return _cover_ribbons(case, m, k, n, l)[0], _cover_ribbons(case, **params)[1]
+    lower = _alternate_params(case, m, k, n, l, alt)
+    return _cover_ribbons(case, m, k, n, l)[0], _cover_ribbons(case, *lower)[1]
+
+
+# RefutationEvidence kinds for a failed dominance, indexed by profile axis.
+_DOMINANCE_KINDS = ("rows-dominance", "cols-dominance")
 
 
 @dataclass(frozen=True)
@@ -391,12 +394,12 @@ def onlycovers_witness(
     """
     x, y = onlycovers_pair(case, m, k, n, l, alt)
     if case in (1, 3):
-        which = 0 if case == 1 else 1
+        axis = 0 if case == 1 else 1
         return RefutationEvidence(
-            "rows-dominance" if case == 1 else "cols-dominance",
+            _DOMINANCE_KINDS[axis],
             x,
             y,
-            profiles=(_ribbon_profile(y)[which], _ribbon_profile(x)[which]),
+            profiles=(_ribbon_profile(y)[axis], _ribbon_profile(x)[axis]),
         )
     if case == 2:
         content = (n, m + 1) + (1,) * (k + l - 1)
@@ -427,31 +430,30 @@ def _fourcovers_instances(max_total: int) -> Iterator[tuple[int, int, int, int, 
 
 def verify_fourcovers(max_size: int = 12) -> VerifyReport:
     """Check every closed-form cover difference of total size <= max_size."""
-    checked = 0
+    instances = list(_fourcovers_instances(max_size))
     bad = []
-    for case, m, k, n, l in _fourcovers_instances(max_size):
+    for case, m, k, n, l in instances:
         upper, lower = fourcovers_pair(case, m, k, n, l)
         claimed = fourcovers_delta(case, m, k, n, l)
         result = compare_vectors(
             expand(ribbon_of(upper), max_size), expand(ribbon_of(lower), max_size)
         )
-        checked += 1
         if result.relation is not Relation.GREATER or result.difference != claimed:
             bad.append(
                 f"case {case}, (m,k,n,l)=({m},{k},{n},{l}): "
                 f"expansion gives {result.relation.value}, claimed difference mismatch"
             )
-    return VerifyReport(checked, tuple(bad))
+    return VerifyReport(len(instances), tuple(bad))
 
 
 def _onlycovers_instances(
     max_size: int,
 ) -> Iterator[tuple[int, int, int, int, int, tuple[int, int]]]:
-    for case, m, k, n, l in _fourcovers_instances(max_size):
-        least_p, least_q = _FAMILIES[case][3]
-        total = _alt_total(case, m, k, n, l)
+    for case, *params in _fourcovers_instances(max_size):
+        _, _, (i, j), (least_p, least_q) = _FAMILIES[case]
+        total = params[i] + params[j]
         for p in range(least_p, total - least_q + 1):
-            yield case, m, k, n, l, (p, total - p)
+            yield (case, *params, (p, total - p))
 
 
 def verify_onlycovers(max_size: int = 12) -> VerifyReport:
@@ -462,24 +464,23 @@ def verify_onlycovers(max_size: int = 12) -> VerifyReport:
     closed-form evidence must hold verbatim: the claimed dominance really
     fails, or the claimed content really separates the expansions.
     """
-    checked = 0
+    instances = list(_onlycovers_instances(max_size))
     bad = []
     ribbons: dict[Composition, SkewDiagram] = {}
-    for case, m, k, n, l, alt in _onlycovers_instances(max_size):
+    for case, m, k, n, l, alt in instances:
         evidence = onlycovers_witness(case, m, k, n, l, alt)
         for alpha in (evidence.lhs, evidence.rhs):
             if alpha not in ribbons:
                 ribbons[alpha] = ribbon_of(alpha)
         lower, upper = ribbons[evidence.lhs], ribbons[evidence.rhs]
         tag = f"case {case}, (m,k,n,l)=({m},{k},{n},{l}), alt={alt}"
-        checked += 1
         result = compare_diagrams(upper, lower, max_size)
         if result.relation in (Relation.GREATER, Relation.EQUAL):
             bad.append(f"{tag}: expansion says {result.relation.value}")
             continue
-        if evidence.kind in ("rows-dominance", "cols-dominance"):
-            which = 0 if evidence.kind == "rows-dominance" else 1
-            actual = (profile(upper)[which], profile(lower)[which])
+        if evidence.kind in _DOMINANCE_KINDS:
+            axis = _DOMINANCE_KINDS.index(evidence.kind)
+            actual = (profile(upper)[axis], profile(lower)[axis])
             if evidence.profiles != actual:
                 bad.append(f"{tag}: evidence profiles are not the diagram profiles")
             elif dominance_leq(*evidence.profiles):
@@ -489,7 +490,7 @@ def verify_onlycovers(max_size: int = 12) -> VerifyReport:
                 bad.append(f"{tag}: witness content missing from the lower expansion")
             elif expand(upper, max_size)[evidence.content] != 0:
                 bad.append(f"{tag}: witness content present in the upper expansion")
-    return VerifyReport(checked, tuple(bad))
+    return VerifyReport(len(instances), tuple(bad))
 
 
 def verify_bigdiff(
@@ -505,11 +506,9 @@ def verify_bigdiff(
     model = build_poset(diagrams, max_size)
     class_of = {d: c for c, cls in enumerate(model.classes) for d in cls.members}
     index = [class_of[d] for d in diagrams]
-    checked = 0
     bad = []
     for x, i in zip(labels, index):
         for y, j in zip(labels, index):
-            checked += 1
             closed = leq_s_closed(x, y)
             oracle = bool(model.up[i] >> j & 1)
             if closed != oracle:
@@ -525,7 +524,7 @@ def verify_bigdiff(
                     f"{x} <= {y}: closed form says {closed}, expansion says "
                     f"{relation.value}"
                 )
-    return VerifyReport(checked, tuple(bad))
+    return VerifyReport(len(labels) ** 2, tuple(bad))
 
 
 def verify_mflemma(max_size: int = 10) -> VerifyReport:
@@ -535,22 +534,20 @@ def verify_mflemma(max_size: int = 10) -> VerifyReport:
     must agree with direct inspection of the expansion's coefficients, and a
     successful match must reproduce the composition it was given.
     """
-    checked = 0
+    alphas = [alpha for size in range(1, max_size + 1) for alpha in compositions_of(size)]
     bad = []
-    for size in range(1, max_size + 1):
-        for alpha in compositions_of(size):
-            checked += 1
-            pattern = mf_pattern(alpha)
-            free = is_multiplicity_free_vec(expand(ribbon_of(alpha), max_size))
-            if (pattern is not None) != free:
-                verdict = "matches" if pattern is not None else "matches nothing"
-                bad.append(
-                    f"{alpha}: pattern {verdict} but expansion is "
-                    f"{'free' if free else 'not free'}"
-                )
-            elif pattern is not None and pattern.composition() != alpha:
-                bad.append(f"{alpha}: pattern rebuilds {pattern.composition()}")
-    return VerifyReport(checked, tuple(bad))
+    for alpha in alphas:
+        pattern = mf_pattern(alpha)
+        free = is_multiplicity_free_vec(expand(ribbon_of(alpha), max_size))
+        if (pattern is not None) != free:
+            verdict = "matches" if pattern is not None else "matches nothing"
+            bad.append(
+                f"{alpha}: pattern {verdict} but expansion is "
+                f"{'free' if free else 'not free'}"
+            )
+        elif pattern is not None and pattern.composition() != alpha:
+            bad.append(f"{alpha}: pattern rebuilds {pattern.composition()}")
+    return VerifyReport(len(alphas), tuple(bad))
 
 
 # --- trim-lattice statistics -------------------------------------------------

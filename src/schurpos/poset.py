@@ -324,31 +324,19 @@ def convexity_report(
     parts, and the fibers with a fixed row profile.
     """
     model = build_poset(enumerate_basic_skew(n, max_enum))
-    checked = 0
-    bad = []
 
-    def audit(tag: str, member: Callable[[SchurClass], bool]) -> None:
-        nonlocal checked
-        checked += 1
-        if not check_convex(model, member):
-            bad.append(tag)
+    def ribbons(rows: int, mf: bool) -> Callable[[SchurClass], bool]:
+        return lambda cls: any(
+            is_ribbon(d) and d.num_rows == rows for d in cls.members
+        ) and (not mf or is_multiplicity_free_vec(cls.expansion))
 
-    def ribbon_rows(cls: SchurClass, rows: int) -> bool:
-        return any(is_ribbon(d) and d.num_rows == rows for d in cls.members)
+    def row_profile(lam: Partition) -> Callable[[SchurClass], bool]:
+        return lambda cls: profile(cls.representative)[0] == lam
 
-    for rows in range(1, n + 1):
-        audit(
-            f"ribbons with {rows} rows",
-            lambda cls, rows=rows: ribbon_rows(cls, rows),
-        )
-        audit(
-            f"multiplicity-free ribbons with {rows} rows",
-            lambda cls, rows=rows: ribbon_rows(cls, rows)
-            and is_multiplicity_free_vec(cls.expansion),
-        )
-    for lam in partitions_of(n):
-        audit(
-            f"row profile {lam}",
-            lambda cls, lam=lam: profile(cls.representative)[0] == lam,
-        )
-    return VerifyReport(checked, tuple(bad))
+    audits = [
+        (f"{'multiplicity-free ' if mf else ''}ribbons with {rows} rows", ribbons(rows, mf))
+        for rows in range(1, n + 1)
+        for mf in (False, True)
+    ] + [(f"row profile {lam}", row_profile(lam)) for lam in partitions_of(n)]
+    bad = [tag for tag, member in audits if not check_convex(model, member)]
+    return VerifyReport(len(audits), tuple(bad))

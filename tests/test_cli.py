@@ -385,13 +385,28 @@ def test_mf_respects_the_size_guard(capsys, monkeypatch, action):
     assert "multiplicity-free lattices are limited to size 24, got 3000" in err
 
 
-def test_verify_missing_context_exits_two(capsys):
-    code, _, err = run(capsys, "verify", "bigdiff")
-    assert code == 2
-    assert "verify bigdiff requires --n and --rows" in err
-    code, _, err = run(capsys, "verify", "trim", "--n", "12")
-    assert code == 2
-    assert "verify trim requires --rows" in err
+@pytest.mark.parametrize(
+    "what, cases",
+    [
+        pytest.param(
+            "bigdiff",
+            [([], "--n and --rows"), (["--n", "12"], "--rows"), (["--rows", "6"], "--n")],
+            id="bigdiff",
+        ),
+        pytest.param("convexity", [([], "--n"), (["--rows", "3"], "--n")], id="convexity"),
+        pytest.param(
+            "trim",
+            [([], "--n and --rows"), (["--n", "12"], "--rows"), (["--rows", "6"], "--n")],
+            id="trim",
+        ),
+    ],
+)
+def test_verify_missing_context_exits_two(capsys, what, cases):
+    for flags, missing in cases:
+        code, out, err = run(capsys, "verify", what, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: verify {what} requires {missing}\n"
 
 
 def test_verify_disagreement_exits_three(capsys, monkeypatch):
@@ -442,6 +457,30 @@ def test_oversized_inputs_exit_one_before_any_shape_work(argv):
     )
     assert result.returncode == 1, result.stderr
     assert "expansion limited to 14 cells" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "r:2,2,2,2,2,2,2,2", "--max-size", "16"], ["expand", "r:2,1,3"]],
+    ids=["long", "short"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # The read end is closed before the command starts, so every write to
+    # stdout fails, whether inside print (long output) or in the flush at exit
+    # (short output).
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurpos.__file__)))
+    env.pop("SCHURPOS_MAX_SIZE", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "schurpos.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 141
 
 
 def test_scripted_invocation_is_byte_identical():

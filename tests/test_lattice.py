@@ -239,6 +239,14 @@ def test_necessary_filter_admits_every_relation_bigdiff_reads():
     assert pairs == 9214
 
 
+def test_bigdiff_sweep_through_size_20():
+    # Every context above the CLI default guard too: the closed form agrees
+    # with the expansion order on each ordered label pair.
+    reports = [verify_bigdiff(n, rows, n) for n in range(3, 21) for rows in range(2, n)]
+    assert [r.disagreements for r in reports if not r.ok] == []
+    assert sum(r.checked for r in reports) == 234_405
+
+
 # --- meet and join ----------------------------------------------------------
 
 
