@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict
 
 from .diagrams import (
@@ -254,33 +254,30 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each mf action: the number of labels it takes, and its output lines from
+# the context and the parsed labels.  The runs look the library functions up
+# when called, so a test can replace one.
+_MF: dict[str, tuple[int, Callable[..., Iterable[str]]]] = {
+    "list": (0, lambda n, rows: (
+        f"{label} r:{_key(ribbon_of_label(label))}" for label in elements(n, rows))),
+    "covers": (0, lambda n, rows: (f"{lo} < {hi}" for lo, hi in covers(n, rows))),
+    "leq": (2, lambda n, rows, x, y: ["true" if leq_s_closed(x, y) else "false"]),
+    "meet": (2, lambda n, rows, x, y: [str(meet(x, y))]),
+    "join": (2, lambda n, rows, x, y: [str(join(x, y))]),
+    "schubert": (1, lambda n, rows, x: [_dumps([_key(p) for p in schubert_pair(x)])]),
+}
+
+
 def _cmd_mf(args: argparse.Namespace) -> int:
-    n, rows = args.n, args.rows
-    wanted = {"list": 0, "covers": 0, "leq": 2, "meet": 2, "join": 2, "schubert": 1}
-    if len(args.labels) != wanted[args.action]:
+    wanted, run = _MF[args.action]
+    if len(args.labels) != wanted:
         raise UsageError(
-            f"mf {args.action} takes {wanted[args.action]} label argument(s), "
-            f"got {len(args.labels)}"
+            f"mf {args.action} takes {wanted} label argument(s), got {len(args.labels)}"
         )
-    _limit("multiplicity-free lattices", n, _guard(args.max_size, TRIM_GUARD))
-    if args.action == "list":
-        for label in elements(n, rows):
-            print(f"{label} r:{_key(ribbon_of_label(label))}")
-    elif args.action == "covers":
-        for lo, hi in covers(n, rows):
-            print(f"{lo} < {hi}")
-    elif args.action == "schubert":
-        first, second = schubert_pair(parse_label(args.labels[0], n, rows))
-        print(_dumps([_key(first), _key(second)]))
-    else:
-        x = parse_label(args.labels[0], n, rows)
-        y = parse_label(args.labels[1], n, rows)
-        if args.action == "leq":
-            print("true" if leq_s_closed(x, y) else "false")
-        elif args.action == "meet":
-            print(str(meet(x, y)))
-        else:
-            print(str(join(x, y)))
+    _limit("multiplicity-free lattices", args.n, _guard(args.max_size, TRIM_GUARD))
+    labels = [parse_label(text, args.n, args.rows) for text in args.labels]
+    for line in run(args.n, args.rows, *labels):
+        print(line)
     return 0
 
 
@@ -363,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mf", help="closed-form multiplicity-free ribbon poset")
     p.add_argument("--n", type=_positive, required=True, help="number of cells")
     p.add_argument("--rows", type=_positive, required=True, help="number of ribbon rows")
-    p.add_argument("action", choices=("list", "covers", "leq", "meet", "join", "schubert"))
+    p.add_argument("action", choices=tuple(_MF))
     p.add_argument("labels", nargs="*", help="rectangle labels such as '[3,5]' or '3,5'")
     p.add_argument("--max-size", type=_positive, metavar="M",
                    help=f"largest lattice size n (default {TRIM_GUARD})")

@@ -37,14 +37,23 @@ from .partitions import (
 from .poset import VerifyReport, _trim_stats, build_poset, compare_diagrams
 
 
-def _is_canonical(a: int, b: int, ell: int, nl: int) -> bool:
-    if 1 <= a < ell - 1 and 1 <= b < nl:
-        return True
-    if a == ell - 1 and 1 <= b <= nl // 2:
-        return True
-    if b == nl and 1 <= a <= (ell - 1) // 2:
-        return True
-    return a == ell - 1 and b == nl
+def _check_context(n: int, rows: int) -> None:
+    if not 2 <= rows <= n - 1:
+        raise DomainError(f"rectangle labels need 2 <= rows <= n - 1, got rows={rows}, n={n}")
+
+
+def _fold(a: int, b: int, ell: int, nl: int) -> tuple[int, int]:
+    """Grid point (a, b) for rows = ell, n - rows = nl, folded as canonical_label says."""
+    if a == ell - 1:
+        if b == 0:
+            return a, nl
+        if b != nl:
+            return a, min(b, nl - b)
+    elif b == nl:
+        if a == 0:
+            return ell - 1, b
+        return min(a, ell - 1 - a), b
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,13 @@ class RectLabel:
     rows: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.rows <= self.n - 1:
-            raise DomainError(
-                f"rectangle labels need 2 <= rows <= n - 1, got rows={self.rows}, n={self.n}"
-            )
-        if not _is_canonical(self.a, self.b, self.rows, self.n - self.rows):
+        a, b, ell, nl = self.a, self.b, self.rows, self.n - self.rows
+        # The common case first: interior points fold to themselves, and only
+        # a valid context has any.
+        if 1 <= a < ell - 1 and 1 <= b < nl:
+            return
+        _check_context(self.n, self.rows)
+        if not (1 <= a < ell and 1 <= b <= nl and _fold(a, b, ell, nl) == (a, b)):
             raise DomainError(
                 f"[{self.a},{self.b}] is not a canonical label for n={self.n}, rows={self.rows}"
             )
@@ -82,31 +93,24 @@ def canonical_label(a: int, b: int, n: int, rows: int) -> RectLabel:
     [rows-1-a, n-rows]; the degenerate corner forms [rows-1, 0] and
     [0, n-rows] both name the bottom class.
     """
-    ell, nl = rows, n - rows
-    if not (0 <= a <= ell - 1 and 0 <= b <= nl):
+    if not (0 <= a <= rows - 1 and 0 <= b <= n - rows):
         raise DomainError(
             f"grid coordinates need 0 <= a <= rows - 1 and 0 <= b <= n - rows, "
             f"got a={a}, b={b} for n={n}, rows={rows}"
         )
-    if (a, b) in ((ell - 1, 0), (0, nl)):
-        return RectLabel(ell - 1, nl, n, rows)
-    if a == ell - 1 and b != nl:
-        b = min(b, nl - b)
-    elif b == nl and a != ell - 1:
-        a = min(a, ell - a - 1)
+    a, b = _fold(a, b, rows, n - rows)
     return RectLabel(a, b, n, rows)
 
 
 def elements(n: int, rows: int) -> list[RectLabel]:
     """All canonical labels for size n and the given row count, in (a, b) order."""
-    if not 2 <= rows <= n - 1:
-        raise DomainError(f"rectangle labels need 2 <= rows <= n - 1, got rows={rows}, n={n}")
+    _check_context(n, rows)
     ell, nl = rows, n - rows
     return [
         RectLabel(a, b, n, rows)
         for a in range(1, ell)
         for b in range(1, nl + 1)
-        if _is_canonical(a, b, ell, nl)
+        if _fold(a, b, ell, nl) == (a, b)
     ]
 
 
@@ -136,26 +140,25 @@ def leq_s_closed(l1: RectLabel, l2: RectLabel) -> bool:
     return _rank(l1.a, h) <= _rank(l2.a, h) and _rank(l1.b, w) <= _rank(l2.b, w)
 
 
-def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
-    """Least upper bound: componentwise maximum in chain rank."""
+def _bound(l1: RectLabel, l2: RectLabel, pick: Callable[..., int]) -> RectLabel:
+    """Pick (max or min) each coordinate by chain rank, then fold the result
+    through canonical_label, since a bottomed-out coordinate may leave the
+    canonical form."""
     _same_context(l1, l2)
     h, w = l1.rows - 1, l1.n - l1.rows
-    a = max(l1.a, l2.a, key=lambda x: _rank(x, h))
-    b = max(l1.b, l2.b, key=lambda x: _rank(x, w))
+    a = pick(l1.a, l2.a, key=lambda x: _rank(x, h))
+    b = pick(l1.b, l2.b, key=lambda x: _rank(x, w))
     return canonical_label(a, b, l1.n, l1.rows)
+
+
+def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
+    """Least upper bound: componentwise maximum in chain rank."""
+    return _bound(l1, l2, max)
 
 
 def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
-    """Greatest lower bound: componentwise minimum in chain rank.
-
-    The chain minimum [a, b] is read off through canonical_label, which folds
-    it through the boundary identifications when a coordinate bottoms out.
-    """
-    _same_context(l1, l2)
-    h, w = l1.rows - 1, l1.n - l1.rows
-    a = min(l1.a, l2.a, key=lambda x: _rank(x, h))
-    b = min(l1.b, l2.b, key=lambda x: _rank(x, w))
-    return canonical_label(a, b, l1.n, l1.rows)
+    """Greatest lower bound: componentwise minimum in chain rank."""
+    return _bound(l1, l2, min)
 
 
 def _chain(top: int) -> list[int]:
@@ -512,14 +515,9 @@ def verify_bigdiff(
             closed = leq_s_closed(x, y)
             oracle = bool(model.up[i] >> j & 1)
             if closed != oracle:
-                if i == j:
-                    relation = Relation.EQUAL
-                elif oracle:
-                    relation = Relation.GREATER
-                elif model.up[j] >> i & 1:
-                    relation = Relation.LESS
-                else:
-                    relation = Relation.INCOMPARABLE
+                relation = compare_vectors(
+                    model.classes[j].expansion, model.classes[i].expansion
+                ).relation
                 bad.append(
                     f"{x} <= {y}: closed form says {closed}, expansion says "
                     f"{relation.value}"

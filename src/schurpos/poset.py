@@ -238,12 +238,8 @@ def build_poset(
     by_expansion: dict[SchurVector, list[SkewDiagram]] = {}
     for diagram in unique:
         by_expansion.setdefault(expand(diagram, max_size), []).append(diagram)
-    classes = tuple(
-        SchurClass(tuple(members), vec)
-        for vec, members in sorted(
-            by_expansion.items(), key=lambda kv: kv[1][0].sort_key()
-        )
-    )
+    # unique is sorted, so the classes come in the order of their first members.
+    classes = tuple(SchurClass(tuple(members), vec) for vec, members in by_expansion.items())
 
     # at_least[p][c - 1] is the mask of the classes whose coefficient of p is
     # at least c.  All classes have one degree and distinct expansions, so

@@ -279,13 +279,17 @@ def test_mf_schubert(capsys):
     assert out == '["3,3,3,3,3","9,9,4,4,4"]\n'
 
 
-def test_mf_wrong_label_count(capsys):
-    code, _, err = run(capsys, "mf", "--n", "12", "--rows", "6", "meet", "[1,2]")
+MF_LABEL_COUNTS = {"list": 0, "covers": 0, "leq": 2, "meet": 2, "join": 2, "schubert": 1}
+
+
+@pytest.mark.parametrize("action", MF_LABEL_COUNTS)
+def test_mf_wrong_label_count(capsys, action):
+    wanted = MF_LABEL_COUNTS[action]
+    given = 0 if wanted == 1 else 1
+    code, out, err = run(capsys, "mf", "--n", "12", "--rows", "6", action, *["[1,2]"] * given)
     assert code == 2
-    assert "mf meet takes 2 label argument(s), got 1" in err
-    code, _, err = run(capsys, "mf", "--n", "12", "--rows", "6", "list", "[1,2]")
-    assert code == 2
-    assert "mf list takes 0 label argument(s), got 1" in err
+    assert out == ""
+    assert err == f"usage error: mf {action} takes {wanted} label argument(s), got {given}\n"
 
 
 def test_mf_invalid_label_exits_one(capsys):

@@ -84,6 +84,34 @@ def test_canonical_label_folds_the_boundaries():
     assert canonical_label(0, 6, 12, 6) == RectLabel(5, 6, 12, 6)
 
 
+def test_canonical_forms_over_every_grid():
+    # One fold decides canonical_label, RectLabel and elements: over each
+    # grid (and one step past it), the folded labels are exactly the
+    # elements, folding twice changes nothing, and RectLabel accepts exactly
+    # the points that fold to themselves.
+    for n in range(3, 17):
+        for rows in range(2, n):
+            folded = set()
+            for a in range(-1, rows + 1):
+                for b in range(-1, n - rows + 2):
+                    try:
+                        label = canonical_label(a, b, n, rows)
+                    except DomainError:
+                        label = None
+                    else:
+                        folded.add(label)
+                        assert canonical_label(label.a, label.b, n, rows) == label
+                    try:
+                        RectLabel(a, b, n, rows)
+                        constructs = True
+                    except DomainError:
+                        constructs = False
+                    assert constructs == (label is not None and (label.a, label.b) == (a, b)), (
+                        n, rows, a, b,
+                    )
+            assert folded == set(elements(n, rows)), (n, rows)
+
+
 def test_canonical_label_rejects_out_of_grid_coordinates():
     with pytest.raises(DomainError, match="grid coordinates"):
         canonical_label(5, 10, 12, 6)
