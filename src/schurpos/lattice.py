@@ -3,10 +3,10 @@
 Multiplicity-free ribbons with n cells and a fixed number of rows, taken up
 to Schur-function equality, are indexed by the dimensions of the rectangle
 inside their skew shape.  On those rectangle labels the Schur-positivity
-order is a product of two zigzag chains, which makes order tests, covers,
-meets, and joins closed-form.  Everything here can be cross-checked against
-the Littlewood-Richardson engine, and the verify_* functions do exactly
-that.
+order is a product of two zigzag chains, which makes order tests, meets, and
+joins closed-form; covers are the transitive reduction of that order.
+Everything here can be cross-checked against the Littlewood-Richardson
+engine, and the verify_* functions do exactly that.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .lr import (
 from .partitions import (
     Composition,
     Partition,
+    _integers,
     as_composition,
     as_partition,
     compositions_of,
@@ -34,10 +35,11 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import VerifyReport, _trim_stats, build_poset, compare_diagrams
+from .poset import VerifyReport, _covers, _trim_stats, build_poset, compare_diagrams
 
 
 def _check_context(n: int, rows: int) -> None:
+    _integers((n, rows), "n and rows")
     if not 2 <= rows <= n - 1:
         raise DomainError(f"rectangle labels need 2 <= rows <= n - 1, got rows={rows}, n={n}")
 
@@ -71,12 +73,15 @@ class RectLabel:
     rows: int
 
     def __post_init__(self) -> None:
-        a, b, ell, nl = self.a, self.b, self.rows, self.n - self.rows
+        a, b, n, ell = self.a, self.b, self.n, self.rows
         # The common case first: interior points fold to themselves, and only
-        # a valid context has any.
-        if 1 <= a < ell - 1 and 1 <= b < nl:
+        # a valid context has any.  Anything but an int takes the checked path.
+        if (type(a) is type(b) is type(n) is type(ell) is int
+                and 1 <= a < ell - 1 and 1 <= b < n - ell):
             return
-        _check_context(self.n, self.rows)
+        _check_context(n, ell)
+        _integers((a, b), "label coordinates")
+        nl = n - ell
         if not (1 <= a < ell and 1 <= b <= nl and _fold(a, b, ell, nl) == (a, b)):
             raise DomainError(
                 f"[{self.a},{self.b}] is not a canonical label for n={self.n}, rows={self.rows}"
@@ -161,42 +166,17 @@ def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
     return _bound(l1, l2, min)
 
 
-def _chain(top: int) -> list[int]:
-    """1..top listed from the bottom of the zigzag chain to its top."""
-    return sorted(range(1, top + 1), key=lambda x: _rank(x, top))
+def _up_sets(labels: list[RectLabel]) -> list[int]:
+    """Bitmask of the labels at or above each label, by leq_s_closed."""
+    return [sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels]
 
 
 def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
-    """Cover pairs (lower, upper) of the label poset, in closed form.
-
-    Five families: steps along the right boundary, steps of a along its chain
-    at a fixed interior b, steps along the bottom boundary, steps of b along
-    its chain at a fixed interior a, and the two covers of the bottom class.
-    """
-    ell, nl = rows, n - rows
-    labels = {(x.a, x.b): x for x in elements(n, rows)}
-    edges: set[tuple[RectLabel, RectLabel]] = set()
-
-    def add(lo: tuple[int, int], hi: tuple[int, int]) -> None:
-        if lo != hi and lo in labels and hi in labels:
-            edges.add((labels[lo], labels[hi]))
-
-    for a in range(1, (ell - 1) // 2):
-        add((a, nl), (a + 1, nl))
-    for b in range(1, nl // 2):
-        add((ell - 1, b), (ell - 1, b + 1))
-    h_chain = _chain(ell - 1)
-    for a1, a2 in zip(h_chain, h_chain[1:]):
-        for b in range(1, nl):
-            add((a1, b), (a2, b))
-    w_chain = _chain(nl)
-    for b1, b2 in zip(w_chain, w_chain[1:]):
-        for a in range(1, ell - 1):
-            add((a, b1), (a, b2))
-    for top in ((1, nl), (ell - 1, 1)):
-        add((ell - 1, nl), top)
-
-    return sorted(edges, key=lambda e: (e[0].a, e[0].b, e[1].a, e[1].b))
+    """Cover pairs (lower, upper) of the label poset, ordered by
+    (lower.a, lower.b, upper.a, upper.b): the transitive reduction of
+    leq_s_closed."""
+    labels = elements(n, rows)
+    return [(labels[i], labels[j]) for i, j in _covers(_up_sets(labels))]
 
 
 def ribbon_of_label(label: RectLabel) -> Composition:
@@ -574,8 +554,6 @@ def trim_report(n: int, rows: int) -> TrimReport:
     """
     labels = elements(n, rows)
     index = {label: i for i, label in enumerate(labels)}
-    up = [sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels]
     meets = [[index[meet(x, y)] for y in labels] for x in labels]
     joins = [[index[join(x, y)] for y in labels] for x in labels]
-    pairs = [(index[lo], index[hi]) for lo, hi in covers(n, rows)]
-    return TrimReport(*_trim_stats(up, pairs, meets, joins))
+    return TrimReport(*_trim_stats(_up_sets(labels), meets, joins))

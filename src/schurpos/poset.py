@@ -150,12 +150,12 @@ def _left_modular(
 
 def _trim_stats(
     up: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
     meet: Sequence[Sequence[int]],
     join: Sequence[Sequence[int]],
 ) -> tuple[int, int, int, bool, bool, bool]:
     """Trim statistics of a finite lattice given by the up-set bitmask of each
-    element, its cover pairs (lower, upper) and its meet and join tables.
+    element and its meet and join tables; the covers are read off the up-sets
+    by _covers.
 
     Returns the numbers of join- and meet-irreducibles and of elements on a
     longest chain; whether some longest chain is all left modular; whether
@@ -163,6 +163,7 @@ def _trim_stats(
     the spine is a distributive sublattice.
     """
     size = len(up)
+    pairs = _covers(up)
     succ = _cover_lists(size, pairs)
     pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
     join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)

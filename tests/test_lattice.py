@@ -40,7 +40,7 @@ from schurpos import (
     verify_mflemma,
     verify_onlycovers,
 )
-from schurpos.lattice import _FAMILIES, _chain, _pattern_params, _rank
+from schurpos.lattice import _FAMILIES, _pattern_params, _rank
 from schurpos.partitions import compositions_of, reverse
 from schurpos.poset import _bits, _left_modular
 
@@ -72,6 +72,24 @@ def test_non_canonical_labels_are_rejected():
     # [5,4] at (12,6) folds to [5,2]; the unfolded spelling is invalid.
     with pytest.raises(DomainError, match="not a canonical label"):
         RectLabel(5, 4, 12, 6)
+
+
+# [2,2] at (10, 4) is an interior label.  Each case spoils one field; an
+# integral float compares like the int it equals, so only a type test refuses it.
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda v: v + 0.5, float, str, lambda v: None],
+    ids=["float", "integral-float", "str", "None"],
+)
+@pytest.mark.parametrize("field", ["a", "b", "n", "rows"])
+def test_label_inputs_refuse_non_integers(field, spoil):
+    args = {"a": 2, "b": 2, "n": 10, "rows": 4}
+    args[field] = spoil(args[field])
+    with pytest.raises(DomainError, match="must be integers"):
+        RectLabel(**args)
+    if field in ("n", "rows"):
+        with pytest.raises(DomainError, match="must be integers"):
+            elements(args["n"], args["rows"])
 
 
 def test_canonical_label_folds_the_boundaries():
@@ -128,8 +146,8 @@ def test_label_str():
 
 def test_chain_orders_match_known_sequences():
     # The two chains of the (12, 6) lattice: a on 1..5 and b on 1..6.
-    assert _chain(5) == [5, 1, 4, 2, 3]
-    assert _chain(6) == [6, 1, 5, 2, 4, 3]
+    for top, chain in ((5, [5, 1, 4, 2, 3]), (6, [6, 1, 5, 2, 4, 3])):
+        assert sorted(range(1, top + 1), key=lambda x: _rank(x, top)) == chain
 
 
 def test_chain_ranks_are_injective():
@@ -338,7 +356,8 @@ def test_covers_match_the_transitive_reduction():
                 for x, y in strict
                 if not any((x, z) in strict and (z, y) in strict for z in labels)
             }
-            assert set(covers(n, rows)) == expected, (n, rows)
+            order = sorted(expected, key=lambda e: (e[0].a, e[0].b, e[1].a, e[1].b))
+            assert covers(n, rows) == order, (n, rows)
 
 
 def test_cover_counts_at_the_featured_size():

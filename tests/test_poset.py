@@ -305,8 +305,8 @@ def test_check_convex_rejects_gaps():
 
 
 def lattice_tables(edges):
-    """Order, cover pairs, and meet and join tables of the lattice whose
-    covers are `edges`, with bounds found by order_reference.least."""
+    """Order, meet and join tables of the lattice whose covers are `edges`,
+    with bounds found by order_reference.least."""
     size = 1 + max(hi for _, hi in edges)
     leq = [[i == j for j in range(size)] for i in range(size)]
     for lo, hi in edges:
@@ -326,7 +326,7 @@ def lattice_tables(edges):
         for x in everything
     ]
     assert covers(leq) == set(edges)
-    return leq, sorted(edges), meet, join
+    return leq, meet, join
 
 
 # Cover pairs of three small lattices.
@@ -351,9 +351,9 @@ SMALL_LATTICES = {
     ids=["hexagon", "M3", "eight"],
 )
 def test_trim_stats_match_brute_force_where_the_flags_fail(name, expected):
-    leq, pairs, meet, join = lattice_tables(SMALL_LATTICES[name])
+    leq, meet, join = lattice_tables(SMALL_LATTICES[name])
     assert trim_flags(leq) == expected
-    assert _trim_stats(up_of(leq), pairs, meet, join) == expected
+    assert _trim_stats(up_of(leq), meet, join) == expected
 
 
 @pytest.mark.parametrize(
@@ -362,7 +362,7 @@ def test_trim_stats_match_brute_force_where_the_flags_fail(name, expected):
     ids=["hexagon", "M3", "eight"],
 )
 def test_left_modular_elements_match_brute_force(name, expected):
-    leq, _, meet, join = lattice_tables(SMALL_LATTICES[name])
+    leq, meet, join = lattice_tables(SMALL_LATTICES[name])
     size = len(leq)
     below = [(y, z) for y in range(size) for z in range(size) if y != z and leq[y][z]]
     assert left_modular_set(leq) == expected
