@@ -98,7 +98,15 @@ def canonical_label(a: int, b: int, n: int, rows: int) -> RectLabel:
     [rows-1-a, n-rows]; the degenerate corner forms [rows-1, 0] and
     [0, n-rows] both name the bottom class.
     """
-    if not (0 <= a <= rows - 1 and 0 <= b <= n - rows):
+    try:
+        inside = 0 <= a <= rows - 1 and 0 <= b <= n - rows
+    except TypeError:
+        # Only a value that does not compare with ints gets here, so ints
+        # pay for no type check.
+        _check_context(n, rows)
+        _integers((a, b), "label coordinates")
+        raise
+    if not inside:
         raise DomainError(
             f"grid coordinates need 0 <= a <= rows - 1 and 0 <= b <= n - rows, "
             f"got a={a}, b={b} for n={n}, rows={rows}"

@@ -108,10 +108,40 @@ class ComparisonResult:
 
 @lru_cache(maxsize=None)
 def _expansion(outer: Partition, inner: Partition) -> SchurVector:
+    # s_A = s_{A rotated 180 degrees} (Reiner, Shaw and van Willigenburg
+    # 2007), so a shape whose rotation sorts lower takes the rotation's
+    # entry: both keys then hold one vector.  The rotation is built only on
+    # a miss, so a hit costs no more than before.
+    if outer:
+        c = outer[0]
+        mu = inner + (0,) * (len(outer) - len(inner))
+        rotated = (
+            tuple(c - m for m in reversed(mu)),
+            tuple(c - l for l in reversed(outer) if l < c),
+        )
+        if rotated < (outer, inner):
+            return _expansion(*rotated)
     rows = _ribbon_rows(outer, inner)
     if rows is None:
         return _lr_expansion(outer, inner)
     return _ribbon_expansion(rows)
+
+
+@lru_cache(maxsize=None)
+def _addable_cells(shape: Partition) -> tuple[tuple[int, Partition], ...]:
+    """The covers of shape in Young's lattice, as (row of the added cell,
+    grown partition), top row first.
+
+    Built for a shape on first use and shared by every ribbon after it.  A
+    table of whole levels would list p(k) partitions at level k, most of
+    which no ribbon reaches once k passes about 30.
+    """
+    padded = (*shape, 0)
+    return tuple(
+        (r, (*shape[:r], padded[r] + 1, *shape[r + 1:]))
+        for r in range(len(padded))
+        if r == 0 or padded[r] < padded[r - 1]
+    )
 
 
 def _ribbon_expansion(alpha: Composition) -> SchurVector:
@@ -121,36 +151,56 @@ def _ribbon_expansion(alpha: Composition) -> SchurVector:
     whose descents (k with k + 1 in a strictly lower row) are exactly the
     partial sums of alpha (Gessel 1984; Stanley, EC2 7.19 and 7.23).  Tableaux
     grow one entry at a time through Young's lattice; a state is a shape with
-    the count of its tableaux for each row holding the largest entry.
+    the count of its tableaux for each row holding the largest entry.  Each
+    step reads the shape's addable cells from the shared table of
+    _addable_cells, so it neither scans rows that cannot grow nor builds a
+    grown partition again.
     """
+    n = sum(alpha)
+    if n == 1:
+        return _vector({(1,): 1})
     descents = set(accumulate(alpha[:-1]))
     layer: dict[Partition, list[int]] = {(1,): [1]}
-    for k in range(1, sum(alpha)):
+    # Entry k + 1 goes to row r: strictly below entry k at a descent, weakly
+    # above it otherwise.  With above[r] the count of tableaux whose entry k
+    # lies above row r, that is above[r] ways at a descent and
+    # above[-1] - above[r] otherwise.  One loop per case, so the case is
+    # tested once per step rather than once per cell.
+    for k in range(1, n - 1):
         grown: dict[Partition, list[int]] = {}
-        descent = k in descents
-        for shape, counts in layer.items():
-            ell = len(shape)
-            # Entry k + 1 goes to row r: strictly below entry k at a descent,
-            # weakly above it otherwise.  ways sums the counts of the rows of
-            # entry k that allow this.
-            if descent:
-                rows, offset = range(1, ell + 1), -1
-            else:
-                rows, offset = range(ell - 1, -1, -1), 0
-            ways = 0
-            for r in rows:
-                ways += counts[r + offset]
-                if ways and (r == 0 or r == ell or shape[r] < shape[r - 1]):
-                    if r < ell:
-                        new = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
-                    else:
-                        new = shape + (1,)
-                    slot = grown.get(new)
-                    if slot is None:
-                        slot = grown[new] = [0] * len(new)
-                    slot[r] += ways
+        if k in descents:
+            for shape, counts in layer.items():
+                above = [0, *accumulate(counts)]
+                for r, new in _addable_cells(shape):
+                    ways = above[r]
+                    if ways:
+                        slot = grown.get(new)
+                        if slot is None:
+                            slot = grown[new] = [0] * len(new)
+                        slot[r] += ways
+        else:
+            for shape, counts in layer.items():
+                above = [0, *accumulate(counts)]
+                total = above[-1]
+                for r, new in _addable_cells(shape):
+                    ways = total - above[r]
+                    if ways:
+                        slot = grown.get(new)
+                        if slot is None:
+                            slot = grown[new] = [0] * len(new)
+                        slot[r] += ways
         layer = grown
-    return _vector({shape: sum(counts) for shape, counts in layer.items()})
+    # The last entry needs only the number of tableaux of each shape.
+    descent = n - 1 in descents
+    totals: dict[Partition, int] = {}
+    for shape, counts in layer.items():
+        above = [0, *accumulate(counts)]
+        total = above[-1]
+        for r, new in _addable_cells(shape):
+            ways = above[r] if descent else total - above[r]
+            if ways:
+                totals[new] = totals.get(new, 0) + ways
+    return _vector(totals)
 
 
 def _lr_expansion(outer: Partition, inner: Partition) -> SchurVector:
@@ -210,8 +260,10 @@ def expand(diagram: SkewDiagram, max_size: int = DEFAULT_EXPANSION_LIMIT) -> Sch
     Littlewood-Richardson rule: the coefficient of a partition is the number
     of semistandard fillings of the diagram with lattice reading word (read
     right to left, top to bottom) and that content, generated depth-first in
-    reading order and cut as soon as the lattice prefix condition fails.  Each
-    shape is expanded once per process; repeats return the same vector.
+    reading order and cut as soon as the lattice prefix condition fails.  A
+    shape and its 180-degree rotation (which has the same skew Schur
+    function) share one cache entry, so the pair is expanded once per process
+    and repeats of either return the same vector.
     """
     _check_size(diagram.size, max_size)
     return _expansion(diagram.outer, diagram.inner)

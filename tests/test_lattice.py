@@ -87,6 +87,8 @@ def test_label_inputs_refuse_non_integers(field, spoil):
     args[field] = spoil(args[field])
     with pytest.raises(DomainError, match="must be integers"):
         RectLabel(**args)
+    with pytest.raises(DomainError, match="must be integers"):
+        canonical_label(**args)
     if field in ("n", "rows"):
         with pytest.raises(DomainError, match="must be integers"):
             elements(args["n"], args["rows"])

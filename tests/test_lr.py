@@ -20,7 +20,7 @@ from schurpos import (
     rotate180,
     transpose,
 )
-from schurpos.lr import _lr_expansion, _ribbon_expansion
+from schurpos.lr import _addable_cells, _lr_expansion, _ribbon_expansion
 from schurpos.partitions import compositions_of, partitions_of
 
 from lr_reference import schur_expansion, standard_tableaux
@@ -123,9 +123,12 @@ def test_expansion_degree_and_positivity():
 
 
 def test_rotation_invariance():
+    # expand answers a rotation from the shape's own cache entry, so the
+    # engines are run directly, on both orientations.
     for n in range(1, 8):
         for d in enumerate_basic_skew(n, max_size=8):
-            assert expand(rotate180(d)) == expand(d)
+            r = rotate180(d)
+            assert _lr_expansion(r.outer, r.inner) == _lr_expansion(d.outer, d.inner)
 
 
 def test_transpose_conjugates_the_expansion():
@@ -135,9 +138,31 @@ def test_transpose_conjugates_the_expansion():
 
 
 def test_ribbon_reversal_invariance():
+    # The reversed ribbon is the rotated one, so this too bypasses the cache.
     for n in range(1, 9):
         for alpha in compositions_of(n):
-            assert expand(ribbon_of(alpha)) == expand(ribbon_of(tuple(reversed(alpha))))
+            assert _ribbon_expansion(alpha) == _ribbon_expansion(tuple(reversed(alpha)))
+
+
+def test_a_shape_and_its_rotation_share_one_engine_run(monkeypatch):
+    runs = []
+    for name in ("_lr_expansion", "_ribbon_expansion"):
+        engine = getattr(schurpos.lr, name)
+        monkeypatch.setattr(
+            schurpos.lr, name, lambda *args, engine=engine: runs.append(args) or engine(*args)
+        )
+    schurpos.lr._expansion.cache_clear()
+    try:
+        # Not a ribbon, then a ribbon; neither is its own rotation.
+        for d in (SkewDiagram((4, 3, 2), (2,)), ribbon_of((1, 2, 3))):
+            runs.clear()
+            r = rotate180(d)
+            assert (r.outer, r.inner) != (d.outer, d.inner)
+            assert expand(d) is expand(r) is expand(d)
+            assert len(runs) == 1
+        assert schurpos.lr._expansion.cache_info().currsize == 4
+    finally:
+        schurpos.lr._expansion.cache_clear()
 
 
 def test_expand_size_guard():
@@ -206,6 +231,43 @@ def test_two_row_sixteen_cell_ribbons_follow_the_pieri_rule():
     for a in range(1, 16):
         b = 16 - a
         expected = {(16 - k, k): 1 for k in range(1, min(a, b) + 1)}
+        assert dict(_ribbon_expansion((a, b)).items()) == expected
+
+
+def test_addable_cells_are_the_covers_in_youngs_lattice():
+    for k in range(21):
+        above = set(partitions_of(k + 1))
+        for shape in partitions_of(k):
+            cells = _addable_cells(shape)
+            # A partition has one addable cell per distinct part, plus one in
+            # a new row; each cover adds one cell in the row it names.
+            assert len(cells) == len(set(shape)) + 1
+            assert [r for r, _ in cells] == sorted({r for r, _ in cells})
+            for r, grown in cells:
+                child = [*shape, 0]
+                child[r] += 1
+                assert grown == tuple(p for p in child if p)
+                assert grown in above
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(10, 10), (1, 19), (2, 1) * 6 + (2,), (4, 4, 4, 4, 4)],
+    ids=["10,10", "1,19", "(2,1)^6,2", "4,4,4,4,4"],
+)
+def test_twenty_cell_ribbons_count_permutations_with_their_descent_set(alpha):
+    # Above the default guard, through shapes no 16-cell ribbon reaches.
+    vec = _ribbon_expansion(alpha)
+    assert vec.degree() == 20
+    assert sum(c * standard_tableaux(lam) for lam, c in vec.items()) == (
+        permutations_with_descent_set(alpha)
+    )
+
+
+def test_two_row_twenty_cell_ribbons_follow_the_pieri_rule():
+    for a in range(1, 20):
+        b = 20 - a
+        expected = {(20 - k, k): 1 for k in range(1, min(a, b) + 1)}
         assert dict(_ribbon_expansion((a, b)).items()) == expected
 
 

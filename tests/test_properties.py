@@ -24,8 +24,10 @@ from schurpos import (
     SkewDiagram,
     compare_diagrams,
     compare_vectors,
+    composition_of,
     enumerate_basic_skew,
     expand,
+    is_ribbon,
     necessary_filter,
     omega_vec,
     ribbon_of,
@@ -91,11 +93,19 @@ def shape_pairs(draw):
     return _shape_with_rows(draw, first), _shape_with_rows(draw, second)
 
 
+def uncached(d):
+    """The expansion from the engine expand picks for d, without its cache,
+    which answers a rotation from the shape's own entry."""
+    if is_ribbon(d):
+        return _ribbon_expansion(composition_of(d))
+    return _lr_expansion(d.outer, d.inner)
+
+
 @PROPERTY
 @given(basic_skew_shapes())
 def test_rotation_leaves_the_expansion_unchanged(d):
     assert 9 <= d.size <= 14
-    assert expand(rotate180(d)) == expand(d)
+    assert uncached(rotate180(d)) == uncached(d)
 
 
 @PROPERTY
@@ -107,7 +117,7 @@ def test_transpose_conjugates_the_expansion(d):
 @PROPERTY
 @given(compositions())
 def test_ribbon_reversal_leaves_the_expansion_unchanged(alpha):
-    assert expand(ribbon_of(alpha)) == expand(ribbon_of(tuple(reversed(alpha))))
+    assert _ribbon_expansion(alpha) == _ribbon_expansion(tuple(reversed(alpha)))
 
 
 @PROPERTY
