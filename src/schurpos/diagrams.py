@@ -158,12 +158,15 @@ def composition_of(diagram: SkewDiagram) -> Composition:
 
 def rotate180(diagram: SkewDiagram) -> SkewDiagram:
     """The diagram rotated half a turn inside its bounding box."""
-    c = diagram.num_cols
-    mu = diagram.inner + (0,) * (diagram.num_rows - len(diagram.inner))
-    new_outer = tuple(c - m for m in reversed(mu))
+    return SkewDiagram._basic(*_rotated(diagram.outer, diagram.inner))
+
+
+def _rotated(outer: Partition, inner: Partition) -> tuple[Partition, Partition]:
+    """The basic shape outer/inner rotated half a turn, again in basic form."""
+    c = outer[0] if outer else 0
+    mu = inner + (0,) * (len(outer) - len(inner))
     # outer weakly decreases from outer[0] == c, so the zeros are at the tail.
-    new_inner = tuple(c - l for l in reversed(diagram.outer) if l < c)
-    return SkewDiagram._basic(new_outer, new_inner)
+    return tuple(c - m for m in reversed(mu)), tuple(c - l for l in reversed(outer) if l < c)
 
 
 def transpose(diagram: SkewDiagram) -> SkewDiagram:

@@ -35,7 +35,7 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import VerifyReport, _covers, _trim_stats, build_poset, compare_diagrams
+from .poset import PosetModel, VerifyReport, _covers, _trim_stats, build_poset
 
 
 def _check_context(n: int, rows: int) -> None:
@@ -447,40 +447,68 @@ def _onlycovers_instances(
             yield (case, *params, (p, total - p))
 
 
+def _class_index(model: PosetModel) -> dict[SkewDiagram, int]:
+    """Position in model.classes of the class of each member diagram."""
+    return {d: c for c, cls in enumerate(model.classes) for d in cls.members}
+
+
+def _ribbon_posets(
+    alphas: Iterable[Composition], max_size: int
+) -> dict[Composition, tuple[SkewDiagram, PosetModel, int]]:
+    """Each composition's ribbon, the build_poset of the given ribbons of its
+    size, and the index of its class there."""
+    by_size: dict[int, dict[Composition, SkewDiagram]] = {}
+    for alpha in alphas:
+        by_size.setdefault(sum(alpha), {})[alpha] = ribbon_of(alpha)
+    place = {}
+    for ribbons in by_size.values():
+        model = build_poset(ribbons.values(), max_size)
+        class_of = _class_index(model)
+        place.update((alpha, (d, model, class_of[d])) for alpha, d in ribbons.items())
+    return place
+
+
 def verify_onlycovers(max_size: int = 12) -> VerifyReport:
     """Check every certified non-relation of total size <= max_size.
 
-    Each instance must compare as something other than greater-or-equal when
-    the candidate upper ribbon is expanded against the lower one, and the
-    closed-form evidence must hold verbatim: the claimed dominance really
-    fails, or the claimed content really separates the expansions.
+    The candidate upper ribbon of each instance must not sit at or above the
+    lower one in the expansion order, which is read off one build_poset per
+    size on the instances' ribbons.  The closed-form evidence must then hold
+    verbatim: the claimed dominance really fails, or the claimed content
+    really separates the expansions.
     """
     instances = list(_onlycovers_instances(max_size))
+    place = _ribbon_posets(
+        {alpha for instance in instances for alpha in onlycovers_pair(*instance)}, max_size
+    )
     bad = []
-    ribbons: dict[Composition, SkewDiagram] = {}
     for case, m, k, n, l, alt in instances:
         evidence = onlycovers_witness(case, m, k, n, l, alt)
-        for alpha in (evidence.lhs, evidence.rhs):
-            if alpha not in ribbons:
-                ribbons[alpha] = ribbon_of(alpha)
-        lower, upper = ribbons[evidence.lhs], ribbons[evidence.rhs]
-        tag = f"case {case}, (m,k,n,l)=({m},{k},{n},{l}), alt={alt}"
-        result = compare_diagrams(upper, lower, max_size)
-        if result.relation in (Relation.GREATER, Relation.EQUAL):
-            bad.append(f"{tag}: expansion says {result.relation.value}")
-            continue
-        if evidence.kind in _DOMINANCE_KINDS:
+        where = place
+        if evidence.lhs not in place or evidence.rhs not in place:
+            # A witness that names ribbons other than its instance's.
+            where = _ribbon_posets({evidence.lhs, evidence.rhs}, max_size)
+        lower, model, i = where[evidence.lhs]
+        upper, upper_model, j = where[evidence.rhs]
+        # Ribbons of different sizes sit in different posets and are unrelated.
+        if model is upper_model and model.up[i] >> j & 1:
+            relation = Relation.EQUAL if i == j else Relation.GREATER
+            problem = f"expansion says {relation.value}"
+        elif evidence.kind in _DOMINANCE_KINDS:
             axis = _DOMINANCE_KINDS.index(evidence.kind)
-            actual = (profile(upper)[axis], profile(lower)[axis])
-            if evidence.profiles != actual:
-                bad.append(f"{tag}: evidence profiles are not the diagram profiles")
+            if evidence.profiles != (profile(upper)[axis], profile(lower)[axis]):
+                problem = "evidence profiles are not the diagram profiles"
             elif dominance_leq(*evidence.profiles):
-                bad.append(f"{tag}: claimed dominance failure actually holds")
+                problem = "claimed dominance failure actually holds"
+            else:
+                continue
+        elif model.classes[i].expansion[evidence.content] < 1:
+            problem = "witness content missing from the lower expansion"
+        elif upper_model.classes[j].expansion[evidence.content] != 0:
+            problem = "witness content present in the upper expansion"
         else:
-            if expand(lower, max_size)[evidence.content] < 1:
-                bad.append(f"{tag}: witness content missing from the lower expansion")
-            elif expand(upper, max_size)[evidence.content] != 0:
-                bad.append(f"{tag}: witness content present in the upper expansion")
+            continue
+        bad.append(f"case {case}, (m,k,n,l)=({m},{k},{n},{l}), alt={alt}: {problem}")
     return VerifyReport(len(instances), tuple(bad))
 
 
@@ -495,7 +523,7 @@ def verify_bigdiff(
     labels = elements(n, rows)
     diagrams = [ribbon_of(ribbon_of_label(label)) for label in labels]
     model = build_poset(diagrams, max_size)
-    class_of = {d: c for c, cls in enumerate(model.classes) for d in cls.members}
+    class_of = _class_index(model)
     index = [class_of[d] for d in diagrams]
     bad = []
     for x, i in zip(labels, index):

@@ -9,7 +9,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 
-from .diagrams import SkewDiagram, _ribbon_rows
+from .diagrams import SkewDiagram, _ribbon_rows, _rotated
 from .errors import DomainError
 from .partitions import Composition, Partition, _integers, as_partition, conjugate
 
@@ -112,15 +112,9 @@ def _expansion(outer: Partition, inner: Partition) -> SchurVector:
     # 2007), so a shape whose rotation sorts lower takes the rotation's
     # entry: both keys then hold one vector.  The rotation is built only on
     # a miss, so a hit costs no more than before.
-    if outer:
-        c = outer[0]
-        mu = inner + (0,) * (len(outer) - len(inner))
-        rotated = (
-            tuple(c - m for m in reversed(mu)),
-            tuple(c - l for l in reversed(outer) if l < c),
-        )
-        if rotated < (outer, inner):
-            return _expansion(*rotated)
+    rotated = _rotated(outer, inner)
+    if rotated < (outer, inner):
+        return _expansion(*rotated)
     rows = _ribbon_rows(outer, inner)
     if rows is None:
         return _lr_expansion(outer, inner)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 from order_reference import left_modular_set, trim_flags
-from verify_reference import verify_bigdiff_reference
+from verify_reference import verify_bigdiff_reference, verify_onlycovers_reference
 
 from schurpos import lattice
 
@@ -508,6 +508,70 @@ def test_onlycovers_reports_evidence_that_misstates_the_profiles(monkeypatch):
     assert len(report.disagreements) == len(dominance) > 0
     for text in report.disagreements:
         assert text.endswith(": evidence profiles are not the diagram profiles")
+
+
+def _common_content(evidence):
+    lower, upper = expand(ribbon_of(evidence.lhs)), expand(ribbon_of(evidence.rhs))
+    return next(p for p in lower if p in upper)
+
+
+# Each wrong witness, as a change to the sound one's evidence.
+_WRONG_WITNESSES = {
+    "lhs and rhs swapped": lambda e: dataclasses.replace(e, lhs=e.rhs, rhs=e.lhs),
+    "rhs replaced by reverse(lhs)": lambda e: dataclasses.replace(e, rhs=reverse(e.lhs)),
+    "rhs without its first row": lambda e: dataclasses.replace(e, rhs=e.rhs[1:]),
+    "profiles swapped": lambda e: dataclasses.replace(
+        e, profiles=e.profiles and e.profiles[::-1]
+    ),
+    "content in both expansions": lambda e: dataclasses.replace(
+        e, content=e.content and _common_content(e)
+    ),
+}
+
+
+@pytest.mark.parametrize("wrong", _WRONG_WITNESSES)
+def test_onlycovers_disagreements_match_the_per_instance_reference(monkeypatch, wrong):
+    # A wrong witness must be reported exactly as one comparison per instance
+    # reports it: the order is read off build_poset's up-sets, one poset per
+    # size, so this is where a misread up-set or class index shows.
+    sound, change = lattice.onlycovers_witness, _WRONG_WITNESSES[wrong]
+    monkeypatch.setattr(lattice, "onlycovers_witness", lambda *args: change(sound(*args)))
+    report = verify_onlycovers(8)
+    assert report == verify_onlycovers_reference(8)
+    assert report.checked == len(list(lattice._onlycovers_instances(8)))
+    texts = report.disagreements
+    if wrong == "lhs and rhs swapped":
+        assert len(texts) == 456
+        assert sum(t.endswith(": expansion says greater") for t in texts) == 380
+    elif wrong == "rhs replaced by reverse(lhs)":
+        assert len(texts) == report.checked
+        assert all(t.endswith(": expansion says equal") for t in texts)
+    elif wrong == "rhs without its first row":
+        # Ribbons of different sizes are unrelated; only the evidence fails.
+        assert texts and not any(": expansion says " in t for t in texts)
+    elif wrong == "profiles swapped":
+        assert texts and all(t.endswith(" are not the diagram profiles") for t in texts)
+    else:
+        assert texts and all(t.endswith(" present in the upper expansion") for t in texts)
+
+
+def test_necessary_filter_admits_every_relation_onlycovers_reads():
+    # verify_onlycovers reads the order off one build_poset per size, which
+    # does not run the soundness check compare_diagrams makes; this makes it
+    # on the same posets.
+    alphas = {a for i in lattice._onlycovers_instances(12) for a in onlycovers_pair(*i)}
+    place = lattice._ribbon_posets(alphas, 12)
+    models = {id(model): model for _, model, _ in place.values()}.values()
+    assert len(place) == 755 and len(models) == 9
+    assert sum(map(len, models)) == 574
+    pairs = 0
+    for model in models:
+        for lower, above in zip(model.classes, model.up):
+            for j in _bits(above):
+                pairs += 1
+                x, y = lower.representative, model.classes[j].representative
+                assert necessary_filter(y, x), (x, y)
+    assert pairs == 3632
 
 
 # --- multiplicity-freeness sweep -------------------------------------------------
