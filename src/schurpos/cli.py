@@ -67,11 +67,17 @@ def _int_list(s: str, start: int, end: int) -> tuple[int, ...]:
     pos = start
     while True:
         head = pos
-        while pos < end and s[pos].isdigit():
+        # ASCII digits only: str.isdigit also takes superscripts and other
+        # scripts' digits, which int() refuses or reads as another number.
+        while pos < end and "0" <= s[pos] <= "9":
             pos += 1
         if pos == head:
             raise ParseError(s, head, "expected a number")
-        values.append(int(s[head:pos]))
+        try:
+            values.append(int(s[head:pos]))
+        except ValueError:
+            # Only a number past Python's int-string digit limit gets here.
+            raise ParseError(s, head, "number too long") from None
         if pos == end:
             return tuple(values)
         if s[pos] != ",":

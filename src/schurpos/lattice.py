@@ -35,13 +35,14 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import PosetModel, VerifyReport, _covers, _trim_stats, build_poset
+from .poset import PosetModel, VerifyReport, _covers, _trim_stats, _up_sets, build_poset
 
 
-def _check_context(n: int, rows: int) -> None:
-    _integers((n, rows), "n and rows")
+def _check_context(n: int, rows: int) -> tuple[int, int]:
+    n, rows = _integers((n, rows), "n and rows")
     if not 2 <= rows <= n - 1:
         raise DomainError(f"rectangle labels need 2 <= rows <= n - 1, got rows={rows}, n={n}")
+    return n, rows
 
 
 def _fold(a: int, b: int, ell: int, nl: int) -> tuple[int, int]:
@@ -79,13 +80,16 @@ class RectLabel:
         if (type(a) is type(b) is type(n) is type(ell) is int
                 and 1 <= a < ell - 1 and 1 <= b < n - ell):
             return
-        _check_context(n, ell)
-        _integers((a, b), "label coordinates")
+        n, ell = _check_context(n, ell)
+        a, b = _integers((a, b), "label coordinates")
         nl = n - ell
         if not (1 <= a < ell and 1 <= b <= nl and _fold(a, b, ell, nl) == (a, b)):
             raise DomainError(
                 f"[{self.a},{self.b}] is not a canonical label for n={self.n}, rows={self.rows}"
             )
+        # Store the normalized ints, so that True prints as 1, as in partitions.
+        for field, value in zip(("a", "b", "n", "rows"), (a, b, n, ell)):
+            object.__setattr__(self, field, value)
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b}]"
@@ -174,9 +178,11 @@ def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
     return _bound(l1, l2, min)
 
 
-def _up_sets(labels: list[RectLabel]) -> list[int]:
-    """Bitmask of the labels at or above each label, by leq_s_closed."""
-    return [sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels]
+def _label_up_sets(labels: list[RectLabel]) -> list[int]:
+    """Bitmask of the labels at or above each label of one context, by
+    leq_s_closed: a label's levels are its two chain ranks, which may be
+    negative, since only their order counts."""
+    return _up_sets([{0: _rank(x.a, x.rows - 1), 1: _rank(x.b, x.n - x.rows)} for x in labels])
 
 
 def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
@@ -184,7 +190,7 @@ def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
     (lower.a, lower.b, upper.a, upper.b): the transitive reduction of
     leq_s_closed."""
     labels = elements(n, rows)
-    return [(labels[i], labels[j]) for i, j in _covers(_up_sets(labels))]
+    return [(labels[i], labels[j]) for i, j in _covers(_label_up_sets(labels))]
 
 
 def ribbon_of_label(label: RectLabel) -> Composition:
@@ -592,4 +598,4 @@ def trim_report(n: int, rows: int) -> TrimReport:
     index = {label: i for i, label in enumerate(labels)}
     meets = [[index[meet(x, y)] for y in labels] for x in labels]
     joins = [[index[join(x, y)] for y in labels] for x in labels]
-    return TrimReport(*_trim_stats(_up_sets(labels), meets, joins))
+    return TrimReport(*_trim_stats(_label_up_sets(labels), meets, joins))

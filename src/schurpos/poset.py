@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -89,6 +89,38 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _up_sets(levels: Sequence[Mapping[Hashable, int]]) -> list[int]:
+    """Up-set bitmask of each element of a threshold order.
+
+    Element i is given by the (key, level) pairs of its .items(), so a dict
+    or a SchurVector serves as it is.  Bit j of up[i] is set exactly when j
+    has every key of i at a level at least i's; an element that lacks a key
+    lies below every level of that key.  One mask per (key, level) that
+    occurs collects the elements at that level; ORing each key's masks from
+    the top level down makes them hold the elements at that level or above,
+    and an up-set is the AND of the masks of its element's own levels.  The
+    levels are read again in each pass rather than kept, to spare memory.
+    """
+    at_least: dict[Hashable, dict[int, int]] = {}
+    for j, element in enumerate(levels):
+        bit = 1 << j
+        for key, level in element.items():
+            masks = at_least.setdefault(key, {})
+            masks[level] = masks.get(level, 0) | bit
+    for masks in at_least.values():
+        acc = 0
+        for level in sorted(masks, reverse=True):
+            acc = masks[level] = acc | masks[level]
+    up = []
+    everything = (1 << len(levels)) - 1
+    for element in levels:
+        mask = everything
+        for key, level in element.items():
+            mask &= at_least[key][level]
+        up.append(mask)
+    return up
 
 
 def _covers(up: Sequence[int]) -> list[tuple[int, int]]:
@@ -228,7 +260,8 @@ def build_poset(
     """Group diagrams by Schur expansion and order the classes.
 
     Each expansion is computed once; classes are compared coefficientwise,
-    all at once, through bitmasks of the classes reaching each coefficient.
+    all at once, by _up_sets, which the label lattice shares: one bitmask
+    per coefficient that occurs, ORed from the top coefficient down.
     Class lists and members are sorted by shape, so the model is
     reproducible for a given input set.
     """
@@ -242,23 +275,9 @@ def build_poset(
     # unique is sorted, so the classes come in the order of their first members.
     classes = tuple(SchurClass(tuple(members), vec) for vec, members in by_expansion.items())
 
-    # at_least[p][c - 1] is the mask of the classes whose coefficient of p is
-    # at least c.  All classes have one degree and distinct expansions, so
-    # class i sits below j exactly when j is in every mask of i's terms.
-    n = len(classes)
-    at_least: dict[Partition, list[int]] = {}
-    for j, cls in enumerate(classes):
-        for p, c in cls.expansion.items():
-            masks = at_least.setdefault(p, [])
-            masks.extend([0] * (c - len(masks)))
-            for k in range(c):
-                masks[k] |= 1 << j
-    up = []
-    for cls in classes:
-        mask = (1 << n) - 1
-        for p, c in cls.expansion.items():
-            mask &= at_least[p][c - 1]
-        up.append(mask)
+    # All classes have one degree and distinct expansions, so class i sits
+    # below j exactly when j's coefficient of each of i's terms is at least i's.
+    up = _up_sets([cls.expansion for cls in classes])
     return PosetModel(classes, tuple(up), tuple(_covers(up)))
 
 

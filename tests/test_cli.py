@@ -81,6 +81,26 @@ def test_expand_parse_error_exits_two(capsys):
     assert "expected a number at position 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "\u00b2"),
+        ("expand", "r:2,\u00b2"),
+        ("expand", "\uff11\uff12"),
+        ("expand", "\u0663"),
+        ("expand", "9" * 5000),
+        ("mf", "--n", "12", "--rows", "6", "leq", "1,\u00b2", "1,1"),
+    ],
+    ids=["superscript", "ribbon-superscript", "fullwidth", "arabic-indic", "too-long", "mf-label"],
+)
+def test_non_ascii_and_overlong_numbers_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_expand_guard_exits_one(capsys):
     code, _, err = run(capsys, "expand", "15,14,13")
     assert code == 1

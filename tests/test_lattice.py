@@ -40,7 +40,7 @@ from schurpos import (
     verify_mflemma,
     verify_onlycovers,
 )
-from schurpos.lattice import _FAMILIES, _pattern_params, _rank
+from schurpos.lattice import _FAMILIES, _label_up_sets, _pattern_params, _rank
 from schurpos.partitions import compositions_of, reverse
 from schurpos.poset import _bits, _left_modular
 
@@ -141,6 +141,9 @@ def test_canonical_label_rejects_out_of_grid_coordinates():
 
 def test_label_str():
     assert str(RectLabel(3, 5, 15, 6)) == "[3,5]"
+    # Bools are integers, as in partitions; a label stores the ints they equal.
+    assert str(RectLabel(True, 1, 5, 3)) == str(canonical_label(True, 1, 5, 3)) == "[1,1]"
+    assert [type(v) for v in dataclasses.astuple(RectLabel(2, True, 10, 4))] == [int] * 4
 
 
 # --- chain ranks ----------------------------------------------------------
@@ -360,6 +363,16 @@ def test_covers_match_the_transitive_reduction():
             }
             order = sorted(expected, key=lambda e: (e[0].a, e[0].b, e[1].a, e[1].b))
             assert covers(n, rows) == order, (n, rows)
+
+
+def test_label_up_sets_match_the_pairwise_order():
+    for n in range(3, 25):
+        for rows in range(2, n):
+            labels = elements(n, rows)
+            pairwise = [
+                sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels
+            ]
+            assert _label_up_sets(labels) == pairwise, (n, rows)
 
 
 def test_cover_counts_at_the_featured_size():

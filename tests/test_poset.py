@@ -36,7 +36,7 @@ from schurpos import (
     ribbon_of,
 )
 from schurpos.partitions import compositions_of, dominance_leq, partitions_of, reverse
-from schurpos.poset import _left_modular, _trim_stats
+from schurpos.poset import _left_modular, _trim_stats, _up_sets
 
 
 def leq_of(model):
@@ -258,6 +258,20 @@ def test_bitset_order_equals_the_pairwise_order():
     # Coefficients above one are where support-only comparison goes wrong.
     expansions = [cls.expansion for model in models for cls in model.classes]
     assert max(c for vec in expansions for _, c in vec.items()) >= 2
+
+
+def test_up_sets_of_a_hand_built_family():
+    levels = [
+        {"x": -2, "y": 1},
+        {"x": -2, "y": 3},  # tied with element 0 on x
+        {"x": 0},  # lacks y, so lies below every level of it
+        {"y": 1},  # lacks x
+        {},  # lacks both, so lies below all but itself
+        {"x": -5, "y": 1},
+    ]
+    expected = [{0, 1}, {1}, {2}, {0, 1, 3, 5}, {0, 1, 2, 3, 4, 5}, {0, 1, 5}]
+    assert _up_sets(levels) == [sum(1 << j for j in above) for above in expected]
+    assert _up_sets([]) == []
 
 
 def test_gradedness_flips_between_sizes_four_and_five():
