@@ -14,12 +14,13 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .diagrams import SkewDiagram, _ribbon_profile, mf_pattern, profile, ribbon_of
+from .diagrams import SkewDiagram, _ribbon_profile, mf_pattern, ribbon_of
 from .errors import DomainError
 from .lr import (
     DEFAULT_EXPANSION_LIMIT,
     Relation,
     SchurVector,
+    _check_size,
     compare_vectors,
     expand,
     is_multiplicity_free_vec,
@@ -359,8 +360,10 @@ def onlycovers_pair(
     return _cover_ribbons(case, m, k, n, l)[0], _cover_ribbons(case, *lower)[1]
 
 
-# RefutationEvidence kinds for a failed dominance, indexed by profile axis.
+# RefutationEvidence kinds for a failed dominance, indexed by profile axis,
+# and the diagram lengths that each axis sorts into a profile.
 _DOMINANCE_KINDS = ("rows-dominance", "cols-dominance")
+_AXIS_LENGTHS = (SkewDiagram.row_lengths, SkewDiagram.column_lengths)
 
 
 @dataclass(frozen=True)
@@ -396,7 +399,7 @@ def onlycovers_witness(
             _DOMINANCE_KINDS[axis],
             x,
             y,
-            profiles=(_ribbon_profile(y)[axis], _ribbon_profile(x)[axis]),
+            profiles=(_ribbon_profile(y, axis), _ribbon_profile(x, axis)),
         )
     if case == 2:
         content = (n, m + 1) + (1,) * (k + l - 1)
@@ -496,8 +499,9 @@ def verify_onlycovers(max_size: int = 12) -> VerifyReport:
             relation = Relation.EQUAL if i == j else Relation.GREATER
             problem = f"expansion says {relation.value}"
         elif evidence.kind in _DOMINANCE_KINDS:
-            axis = _DOMINANCE_KINDS.index(evidence.kind)
-            if evidence.profiles != (profile(upper)[axis], profile(lower)[axis]):
+            lengths = _AXIS_LENGTHS[_DOMINANCE_KINDS.index(evidence.kind)]
+            actual = tuple(tuple(sorted(lengths(d), reverse=True)) for d in (upper, lower))
+            if evidence.profiles != actual:
                 problem = "evidence profiles are not the diagram profiles"
             elif dominance_leq(*evidence.profiles):
                 problem = "claimed dominance failure actually holds"
@@ -519,8 +523,12 @@ def verify_bigdiff(
     """Compare the closed-form order with the expansion order on every pair.
 
     The order is read off the poset _ribbon_posets builds on the labels'
-    ribbons; a disagreement names how y's ribbon compares with x's.
+    ribbons; a disagreement names how y's ribbon compares with x's.  Every
+    ribbon has n cells, so n is checked against max_size before any label
+    is built.
     """
+    n, rows = _check_context(n, rows)
+    _check_size(n, max_size)
     labels = elements(n, rows)
     alphas = [ribbon_of_label(label) for label in labels]
     place = _ribbon_posets(alphas, max_size)

@@ -144,45 +144,33 @@ def _ribbon_expansion(alpha: Composition) -> SchurVector:
     The coefficient of s_lam is the number of standard tableaux of shape lam
     whose descents (k with k + 1 in a strictly lower row) are exactly the
     partial sums of alpha (Gessel 1984; Stanley, EC2 7.19 and 7.23).  Tableaux
-    grow one entry at a time through Young's lattice; a state is a shape with
-    the count of its tableaux for each row holding the largest entry.  Each
-    step reads the shape's addable cells from the shared table of
-    _addable_cells, so it neither scans rows that cannot grow nor builds a
-    grown partition again.
+    grow one entry at a time through Young's lattice, starting from the empty
+    tableau; a state is a shape with the count of its tableaux for each row
+    holding the largest entry.  Each step applies one rule to every addable
+    cell, read from the shared table of _addable_cells, so it neither scans
+    rows that cannot grow nor builds a grown partition again.
     """
     n = sum(alpha)
-    if n == 1:
-        return _vector({(1,): 1})
     descents = set(accumulate(alpha[:-1]))
-    layer: dict[Partition, list[int]] = {(1,): [1]}
     # Entry k + 1 goes to row r: strictly below entry k at a descent, weakly
     # above it otherwise.  With above[r] the count of tableaux whose entry k
     # lies above row r, that is above[r] ways at a descent and
-    # above[-1] - above[r] otherwise.  One loop per case, so the case is
-    # tested once per step rather than once per cell.
-    for k in range(1, n - 1):
+    # total - above[r] otherwise.  The empty tableau counts as one tableau
+    # with its largest entry in row 0, so entry 1 has one way into row 0.
+    layer: dict[Partition, list[int]] = {(): [1]}
+    for k in range(n - 1):
+        descent = k in descents
         grown: dict[Partition, list[int]] = {}
-        if k in descents:
-            for shape, counts in layer.items():
-                above = [0, *accumulate(counts)]
-                for r, new in _addable_cells(shape):
-                    ways = above[r]
-                    if ways:
-                        slot = grown.get(new)
-                        if slot is None:
-                            slot = grown[new] = [0] * len(new)
-                        slot[r] += ways
-        else:
-            for shape, counts in layer.items():
-                above = [0, *accumulate(counts)]
-                total = above[-1]
-                for r, new in _addable_cells(shape):
-                    ways = total - above[r]
-                    if ways:
-                        slot = grown.get(new)
-                        if slot is None:
-                            slot = grown[new] = [0] * len(new)
-                        slot[r] += ways
+        for shape, counts in layer.items():
+            above = [0, *accumulate(counts)]
+            total = above[-1]
+            for r, new in _addable_cells(shape):
+                ways = above[r] if descent else total - above[r]
+                if ways:
+                    slot = grown.get(new)
+                    if slot is None:
+                        slot = grown[new] = [0] * len(new)
+                    slot[r] += ways
         layer = grown
     # The last entry needs only the number of tableaux of each shape.
     descent = n - 1 in descents

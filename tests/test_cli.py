@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import schurpos
-from schurpos import DomainError, SkewDiagram, ribbon_of
+from schurpos import DomainError, SkewDiagram, lattice, ribbon_of
 from schurpos.cli import ParseError, main, parse_label, parse_shape
 from schurpos.poset import VerifyReport
 
@@ -379,6 +380,20 @@ def test_verify_bigdiff_respects_the_size_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "bigdiff", "--n", "8", "--rows", "4")
     assert code == 1
     assert "expansion limited to 6 cells, got 8" in err
+
+
+def test_verify_bigdiff_refuses_a_huge_context_at_once(capsys, monkeypatch):
+    # Building the ~n^2/4 labels before the guard grew as n^3 and did not
+    # finish in 20 s at n = 3000; the stub fails at once if it comes back.
+    def no_labels(n, rows):
+        raise AssertionError("labels built before the size guard")
+
+    monkeypatch.delenv("SCHURPOS_MAX_SIZE", raising=False)
+    monkeypatch.setattr(lattice, "elements", no_labels)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "bigdiff", "--n", "3000", "--rows", "1500")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "error: expansion limited to 14 cells, got 3000\n")
 
 
 def test_verify_trim_output(capsys):

@@ -117,10 +117,12 @@ def test_ribbon_roundtrip_through_composition():
 
 def test_closed_form_ribbon_profiles():
     # Rows from alpha, columns from its complement composition.
-    assert _ribbon_profile((2, 1, 3)) == ((3, 2, 1), (3, 1, 1, 1))
+    assert _ribbon_profile((2, 1, 3), 0) == (3, 2, 1)
+    assert _ribbon_profile((2, 1, 3), 1) == (3, 1, 1, 1)
     for n in range(1, 13):
         for alpha in compositions_of(n):
-            assert _ribbon_profile(alpha) == profile(ribbon_of(alpha)), alpha
+            expected = profile(ribbon_of(alpha))
+            assert (_ribbon_profile(alpha, 0), _ribbon_profile(alpha, 1)) == expected, alpha
 
 
 def test_is_ribbon_rejects_thick_and_disconnected_shapes():

@@ -273,6 +273,25 @@ def test_bigdiff_disagreements_match_the_ordered_reference(monkeypatch, ctx, wro
         assert text.startswith(f"{flipped[0]} <= {flipped[1]}: ")
 
 
+def _no_labels(n, rows):
+    raise AssertionError(f"elements({n}, {rows}) ran before the size guard")
+
+
+def test_bigdiff_checks_its_guards_before_building_any_label(monkeypatch):
+    # The ~n^2/4 labels and their ribbons cost seconds at n = 400 and grow
+    # as n^3, so an oversized n is refused before elements runs.  A bad
+    # context is still reported first, as elements reported it.
+    monkeypatch.setattr(lattice, "elements", _no_labels)
+    with pytest.raises(DomainError, match="^expansion limited to 16 cells, got 3000$"):
+        verify_bigdiff(3000, 1500)
+    with pytest.raises(DomainError, match="^expansion limited to 14 cells, got 15$"):
+        verify_bigdiff(15, 7, 14)
+    with pytest.raises(DomainError, match="rows <= n - 1, got rows=3000, n=3000"):
+        verify_bigdiff(3000, 3000)
+    with pytest.raises(DomainError, match="n and rows"):
+        verify_bigdiff(3000.5, 1500)
+
+
 def test_necessary_filter_admits_every_relation_bigdiff_reads():
     # verify_bigdiff reads the order off build_poset, which does not run the
     # soundness check compare_diagrams makes; this makes it on the same pairs.

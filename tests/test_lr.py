@@ -203,13 +203,15 @@ def test_ribbon_expansion_matches_the_lr_search_through_twelve_cells():
     assert checked == 4095
 
 
-def test_ribbon_coefficients_over_all_compositions_count_standard_tableaux():
-    # Each standard tableau has exactly one descent set.
+@pytest.mark.parametrize("n", range(1, 14))
+def test_ribbon_coefficients_over_all_compositions_count_standard_tableaux(n):
+    # Each standard tableau has exactly one descent set.  n = 1 is the DP's
+    # start from the empty tableau with no step before the last one.
     totals = {}
-    for alpha in compositions_of(13):
+    for alpha in compositions_of(n):
         for lam, c in _ribbon_expansion(alpha).items():
             totals[lam] = totals.get(lam, 0) + c
-    assert totals == {lam: standard_tableaux(lam) for lam in partitions_of(13)}
+    assert totals == {lam: standard_tableaux(lam) for lam in partitions_of(n)}
 
 
 @pytest.mark.parametrize(
