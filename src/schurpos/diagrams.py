@@ -217,15 +217,16 @@ def is_ribbon(diagram: SkewDiagram) -> bool:
 def _ribbon_profile(alpha: Composition, axis: int) -> Partition:
     """profile(ribbon_of(alpha))[axis] without building the ribbon.
 
-    The rows (axis 0) are the parts of alpha.  The columns (axis 1) are the
-    parts of the complement composition, whose partial sums are
-    {1, ..., n - 1} minus those of alpha."""
+    The rows (axis 0) are the parts of alpha.  The columns (axis 1) are read
+    off alpha in one pass: the first cell of each row continues the column
+    that ends the row before, and each other cell starts a column.  So j - 1
+    consecutive interior parts equal to 1 make a column of j + 1 cells."""
     parts = alpha
     if axis:
-        n = sum(alpha)
-        cuts = set(accumulate(alpha))
-        ends = [i for i in range(1, n) if i not in cuts] + [n]
-        parts = [end - start for start, end in zip([0] + ends, ends)]
+        parts = [0]
+        for part in alpha:
+            parts[-1] += 1
+            parts += [1] * (part - 1)
     return tuple(sorted(parts, reverse=True))
 
 

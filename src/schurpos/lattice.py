@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from operator import gt, lt
 
 from .diagrams import SkewDiagram, _ribbon_profile, mf_pattern, ribbon_of
 from .errors import DomainError
@@ -158,25 +159,33 @@ def leq_s_closed(l1: RectLabel, l2: RectLabel) -> bool:
     return _rank(l1.a, h) <= _rank(l2.a, h) and _rank(l1.b, w) <= _rank(l2.b, w)
 
 
-def _bound(l1: RectLabel, l2: RectLabel, pick: Callable[..., int]) -> RectLabel:
-    """Pick (max or min) each coordinate by chain rank, then fold the result
-    through canonical_label, since a bottomed-out coordinate may leave the
-    canonical form."""
+def _bound(l1: RectLabel, l2: RectLabel, before: Callable[[int, int], bool]) -> RectLabel:
+    """Take each coordinate of l2 whose chain rank comes before (lt: below,
+    gt: above) that of l1's, and l1's otherwise; ranks are injective, so a
+    tie means equal coordinates.  The point is folded, since a bottomed-out
+    coordinate may leave the canonical form."""
     _same_context(l1, l2)
-    h, w = l1.rows - 1, l1.n - l1.rows
-    a = pick(l1.a, l2.a, key=lambda x: _rank(x, h))
-    b = pick(l1.b, l2.b, key=lambda x: _rank(x, w))
-    return canonical_label(a, b, l1.n, l1.rows)
+    n, ell = l1.n, l1.rows
+    h, w = ell - 1, n - ell
+    a = l2.a if before(_rank(l2.a, h), _rank(l1.a, h)) else l1.a
+    b = l2.b if before(_rank(l2.b, w), _rank(l1.b, w)) else l1.b
+    return RectLabel(*_fold(a, b, ell, w), n, ell)
 
 
 def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
-    """Least upper bound: componentwise maximum in chain rank."""
-    return _bound(l1, l2, max)
+    """Least upper bound: componentwise maximum in chain rank.
+
+    The result is a frozen label built in O(1) from the two points; no
+    context's labels are ever enumerated."""
+    return _bound(l1, l2, gt)
 
 
 def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
-    """Greatest lower bound: componentwise minimum in chain rank."""
-    return _bound(l1, l2, min)
+    """Greatest lower bound: componentwise minimum in chain rank.
+
+    The result is a frozen label built in O(1) from the two points; no
+    context's labels are ever enumerated."""
+    return _bound(l1, l2, lt)
 
 
 def _label_up_sets(labels: list[RectLabel]) -> list[int]:

@@ -116,10 +116,14 @@ def test_ribbon_roundtrip_through_composition():
 
 
 def test_closed_form_ribbon_profiles():
-    # Rows from alpha, columns from its complement composition.
+    # Rows from alpha; columns read off alpha in one pass, where j - 1
+    # consecutive interior 1s make a column of j + 1 cells.
     assert _ribbon_profile((2, 1, 3), 0) == (3, 2, 1)
     assert _ribbon_profile((2, 1, 3), 1) == (3, 1, 1, 1)
-    for n in range(1, 13):
+    assert _ribbon_profile((3, 1, 1, 2), 1) == (4, 1, 1, 1)
+    assert _ribbon_profile((1, 1, 1), 1) == (3,)
+    assert _ribbon_profile((4,), 1) == (1, 1, 1, 1)
+    for n in range(1, 15):
         for alpha in compositions_of(n):
             expected = profile(ribbon_of(alpha))
             assert (_ribbon_profile(alpha, 0), _ribbon_profile(alpha, 1)) == expected, alpha

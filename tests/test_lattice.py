@@ -1,6 +1,7 @@
 """Closed-form model of the multiplicity-free ribbon poset."""
 
 import dataclasses
+import time
 
 import pytest
 from order_reference import left_modular_set, trim_flags
@@ -322,7 +323,10 @@ def test_bigdiff_sweep_through_size_20():
 
 def test_meet_and_join_known_values():
     ctx = (12, 6)
-    assert meet(RectLabel(5, 3, *ctx), RectLabel(1, 4, *ctx)) == RectLabel(5, 2, *ctx)
+    bound = meet(RectLabel(5, 3, *ctx), RectLabel(1, 4, *ctx))
+    assert bound == RectLabel(5, 2, *ctx)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bound.a = 1
     assert join(RectLabel(1, 2, *ctx), RectLabel(2, 1, *ctx)) == RectLabel(2, 2, *ctx)
     assert meet(RectLabel(1, 2, *ctx), RectLabel(2, 1, *ctx)) == RectLabel(1, 1, *ctx)
 
@@ -348,6 +352,38 @@ def test_meet_and_join_against_brute_force():
                     )
                     assert all(leq_s_closed(lub, w) for w in upper)
                     assert join(x, y) == lub
+
+
+def _reference_bound(l1, l2, pick):
+    """meet (pick=min) or join (pick=max) as first written: a key= pick of
+    each coordinate by chain rank, then a fold through canonical_label."""
+    h, w = l1.rows - 1, l1.n - l1.rows
+    a = pick(l1.a, l2.a, key=lambda x: _rank(x, h))
+    b = pick(l1.b, l2.b, key=lambda x: _rank(x, w))
+    return canonical_label(a, b, l1.n, l1.rows)
+
+
+def test_meet_and_join_match_the_key_pick_reference():
+    for n in range(3, 17):
+        for rows in range(2, n):
+            labels = elements(n, rows)
+            for x in labels:
+                for y in labels:
+                    assert meet(x, y) == _reference_bound(x, y, min), (x, y)
+                    assert join(x, y) == _reference_bound(x, y, max), (x, y)
+
+
+def test_bounds_in_a_huge_context_enumerate_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elements must not be called")
+
+    monkeypatch.setattr(lattice, "elements", refuse)
+    n, rows = 10**6, 5 * 10**5
+    x, y = RectLabel(3, 10**5, n, rows), RectLabel(rows - 1, 2 * 10**5, n, rows)
+    start = time.perf_counter()
+    assert meet(x, y) == RectLabel(rows - 1, 10**5, n, rows)
+    assert join(x, y) == RectLabel(3, 2 * 10**5, n, rows)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_meet_join_identities():
