@@ -411,6 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input too deep for the recursion limit; lower --max-size", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

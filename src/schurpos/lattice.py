@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from operator import gt, lt
+from operator import attrgetter, gt, lt
 
 from .diagrams import SkewDiagram, _ribbon_profile, mf_pattern, ribbon_of
 from .errors import DomainError
@@ -76,14 +76,8 @@ class RectLabel:
     rows: int
 
     def __post_init__(self) -> None:
-        a, b, n, ell = self.a, self.b, self.n, self.rows
-        # The common case first: interior points fold to themselves, and only
-        # a valid context has any.  Anything but an int takes the checked path.
-        if (type(a) is type(b) is type(n) is type(ell) is int
-                and 1 <= a < ell - 1 and 1 <= b < n - ell):
-            return
-        n, ell = _check_context(n, ell)
-        a, b = _integers((a, b), "label coordinates")
+        n, ell = _check_context(self.n, self.rows)
+        a, b = _integers((self.a, self.b), "label coordinates")
         nl = n - ell
         if not (1 <= a < ell and 1 <= b <= nl and _fold(a, b, ell, nl) == (a, b)):
             raise DomainError(
@@ -104,29 +98,30 @@ def canonical_label(a: int, b: int, n: int, rows: int) -> RectLabel:
     [rows-1-a, n-rows]; the degenerate corner forms [rows-1, 0] and
     [0, n-rows] both name the bottom class.
     """
-    try:
-        inside = 0 <= a <= rows - 1 and 0 <= b <= n - rows
-    except TypeError:
-        # Only a value that does not compare with ints gets here, so ints
-        # pay for no type check.
-        _check_context(n, rows)
-        _integers((a, b), "label coordinates")
-        raise
-    if not inside:
+    n, rows = _check_context(n, rows)
+    a, b = _integers((a, b), "label coordinates")
+    if not (0 <= a <= rows - 1 and 0 <= b <= n - rows):
         raise DomainError(
             f"grid coordinates need 0 <= a <= rows - 1 and 0 <= b <= n - rows, "
             f"got a={a}, b={b} for n={n}, rows={rows}"
         )
-    a, b = _fold(a, b, rows, n - rows)
-    return RectLabel(a, b, n, rows)
+    return RectLabel(*_fold(a, b, rows, n - rows), n, rows)
+
+
+def _label(a: int, b: int, n: int, rows: int) -> RectLabel:
+    """A label from a canonical point of a checked context, unchecked."""
+    label = RectLabel.__new__(RectLabel)
+    for field, value in zip(("a", "b", "n", "rows"), (a, b, n, rows)):
+        object.__setattr__(label, field, value)
+    return label
 
 
 def elements(n: int, rows: int) -> list[RectLabel]:
     """All canonical labels for size n and the given row count, in (a, b) order."""
-    _check_context(n, rows)
+    n, rows = _check_context(n, rows)
     ell, nl = rows, n - rows
     return [
-        RectLabel(a, b, n, rows)
+        _label(a, b, n, rows)
         for a in range(1, ell)
         for b in range(1, nl + 1)
         if _fold(a, b, ell, nl) == (a, b)
@@ -169,7 +164,7 @@ def _bound(l1: RectLabel, l2: RectLabel, before: Callable[[int, int], bool]) -> 
     h, w = ell - 1, n - ell
     a = l2.a if before(_rank(l2.a, h), _rank(l1.a, h)) else l1.a
     b = l2.b if before(_rank(l2.b, w), _rank(l1.b, w)) else l1.b
-    return RectLabel(*_fold(a, b, ell, w), n, ell)
+    return _label(*_fold(a, b, ell, w), n, ell)
 
 
 def join(l1: RectLabel, l2: RectLabel) -> RectLabel:
@@ -607,7 +602,8 @@ def trim_report(n: int, rows: int) -> TrimReport:
     sublattice.
     """
     labels = elements(n, rows)
-    index = {label: i for i, label in enumerate(labels)}
-    meets = [[index[meet(x, y)] for y in labels] for x in labels]
-    joins = [[index[join(x, y)] for y in labels] for x in labels]
+    point = attrgetter("a", "b")  # an int pair hashes and compares faster than a label
+    index = {point(x): i for i, x in enumerate(labels)}
+    meets = [[index[point(meet(x, y))] for y in labels] for x in labels]
+    joins = [[index[point(join(x, y))] for y in labels] for x in labels]
     return TrimReport(*_trim_stats(_label_up_sets(labels), meets, joins))

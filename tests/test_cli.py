@@ -284,6 +284,24 @@ def test_poset_guards(capsys):
     assert "ribbon posets are limited to size 14" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "551,550/1", "--max-size", "2000"),
+        ("poset", "--n", "1100", "--ribbons", "--max-size", "2000"),
+        ("poset", "--n", "1100", "--max-size", "2000"),
+    ],
+    ids=["expand", "poset-ribbons", "poset-shapes"],
+)
+def test_guard_raised_past_the_recursion_limit_exits_one(capsys, argv):
+    # Each input recurses once per cell or row, past Python's default limit.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and "--max-size" in err
+
+
 def test_poset_output_is_deterministic(capsys):
     first = run(capsys, "poset", "--n", "5")
     second = run(capsys, "poset", "--n", "5")
