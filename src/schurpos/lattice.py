@@ -37,7 +37,7 @@ from .partitions import (
     dominance_leq,
     reverse,
 )
-from .poset import PosetModel, VerifyReport, _covers, _trim_stats, _up_sets, build_poset
+from .poset import PosetModel, VerifyReport, _covers, _trim_stats, build_poset
 
 
 def _check_context(n: int, rows: int) -> tuple[int, int]:
@@ -78,17 +78,21 @@ class RectLabel:
     def __post_init__(self) -> None:
         n, ell = _check_context(self.n, self.rows)
         a, b = _integers((self.a, self.b), "label coordinates")
-        nl = n - ell
-        if not (1 <= a < ell and 1 <= b <= nl and _fold(a, b, ell, nl) == (a, b)):
-            raise DomainError(
-                f"[{self.a},{self.b}] is not a canonical label for n={self.n}, rows={self.rows}"
-            )
+        _check_canonical(a, b, n, ell, (self.a, self.b, self.n, self.rows))
         # Store the normalized ints, so that True prints as 1, as in partitions.
         for field, value in zip(("a", "b", "n", "rows"), (a, b, n, ell)):
             object.__setattr__(self, field, value)
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b}]"
+
+
+def _check_canonical(a: int, b: int, n: int, rows: int, shown: tuple[object, ...]) -> None:
+    """Refuse the point (a, b) of the checked context (n, rows) unless it is a
+    canonical label, naming the label by shown, its (a, b, n, rows) as given."""
+    nl = n - rows
+    if not (1 <= a < rows and 1 <= b <= nl and _fold(a, b, rows, nl) == (a, b)):
+        raise DomainError("[{},{}] is not a canonical label for n={}, rows={}".format(*shown))
 
 
 def canonical_label(a: int, b: int, n: int, rows: int) -> RectLabel:
@@ -105,7 +109,9 @@ def canonical_label(a: int, b: int, n: int, rows: int) -> RectLabel:
             f"grid coordinates need 0 <= a <= rows - 1 and 0 <= b <= n - rows, "
             f"got a={a}, b={b} for n={n}, rows={rows}"
         )
-    return RectLabel(*_fold(a, b, rows, n - rows), n, rows)
+    a, b = _fold(a, b, rows, n - rows)
+    _check_canonical(a, b, n, rows, (a, b, n, rows))
+    return _label(a, b, n, rows)
 
 
 def _label(a: int, b: int, n: int, rows: int) -> RectLabel:
@@ -183,11 +189,12 @@ def meet(l1: RectLabel, l2: RectLabel) -> RectLabel:
     return _bound(l1, l2, lt)
 
 
-def _label_up_sets(labels: list[RectLabel]) -> list[int]:
-    """Bitmask of the labels at or above each label of one context, by
-    leq_s_closed: a label's levels are its two chain ranks, which may be
-    negative, since only their order counts."""
-    return _up_sets([{0: _rank(x.a, x.rows - 1), 1: _rank(x.b, x.n - x.rows)} for x in labels])
+def _label_levels(labels: list[RectLabel]) -> list[dict[int, int]]:
+    """The levels of each label of one context for poset._up_sets and
+    poset._covers, whose threshold order is then leq_s_closed: a label's
+    levels are its two chain ranks, which may be negative, since only their
+    order counts."""
+    return [{0: _rank(x.a, x.rows - 1), 1: _rank(x.b, x.n - x.rows)} for x in labels]
 
 
 def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
@@ -195,7 +202,7 @@ def covers(n: int, rows: int) -> list[tuple[RectLabel, RectLabel]]:
     (lower.a, lower.b, upper.a, upper.b): the transitive reduction of
     leq_s_closed."""
     labels = elements(n, rows)
-    return [(labels[i], labels[j]) for i, j in _covers(_label_up_sets(labels))]
+    return [(labels[i], labels[j]) for i, j in _covers(_label_levels(labels))]
 
 
 def ribbon_of_label(label: RectLabel) -> Composition:
@@ -606,4 +613,4 @@ def trim_report(n: int, rows: int) -> TrimReport:
     index = {point(x): i for i, x in enumerate(labels)}
     meets = [[index[point(meet(x, y))] for y in labels] for x in labels]
     joins = [[index[point(join(x, y))] for y in labels] for x in labels]
-    return TrimReport(*_trim_stats(_label_up_sets(labels), meets, joins))
+    return TrimReport(*_trim_stats(_label_levels(labels), meets, joins))

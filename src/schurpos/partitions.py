@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError
@@ -61,7 +62,17 @@ def _dominated(mu: Partition, lam: Partition) -> bool:
 
 def conjugate(lam: Iterable[int]) -> Partition:
     """Transpose of a partition: column lengths of its Young diagram."""
-    lam = as_partition(lam)
+    return _conjugate(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate without the check, for a partition the caller validated.
+
+    Cached, so the transposed shapes and conjugated expansions that
+    lr._expansion builds share one tuple per partition instead of a fresh
+    one per call.
+    """
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))

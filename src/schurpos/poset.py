@@ -123,17 +123,34 @@ def _up_sets(levels: Sequence[Mapping[Hashable, int]]) -> list[int]:
     return up
 
 
-def _covers(up: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover pairs (lower, upper) in increasing order: the transitive
-    reduction of Aho, Garey and Ullman.  Of the elements strictly above i,
-    the covers are those strictly above none of the others."""
+def _covers(levels: Sequence[Mapping[Hashable, int]]) -> list[tuple[int, int]]:
+    """Cover pairs (lower, upper), in increasing order, of the threshold order
+    that _up_sets reads off the same levels.
+
+    The elements are indexed in a linear extension read top down, by falling
+    sum of their levels, and their up-sets built in that index order, so an
+    up-set mask holds no bit above its own element's.  The highest element
+    left of a strict up-set then has nothing below it there, so it is a
+    cover; taking away its up-set leaves the elements above none of the
+    covers found so far.  That is one step per cover instead of one per
+    element above.  The level sum grows strictly up the order when the
+    levels are positive, as expansion coefficients are, or when all elements
+    have the same keys, as the two chain ranks of a label do.
+    """
+    order = sorted(
+        range(len(levels)),
+        key=lambda i: sum(level for _, level in levels[i].items()),
+        reverse=True,
+    )
+    up = _up_sets([levels[i] for i in order])
     pairs = []
-    for i, above in enumerate(up):
-        strict = rest = above & ~(1 << i)
-        for j in _bits(strict):
-            if rest >> j & 1:
-                rest &= ~(up[j] & ~(1 << j))
-        pairs.extend((i, j) for j in _bits(rest))
+    for p, above in enumerate(up):
+        rest = above ^ (1 << p)
+        while rest:
+            q = rest.bit_length() - 1
+            pairs.append((order[p], order[q]))
+            rest &= ~up[q]
+    pairs.sort()
     return pairs
 
 
@@ -181,21 +198,22 @@ def _left_modular(
 
 
 def _trim_stats(
-    up: Sequence[int],
+    levels: Sequence[Mapping[Hashable, int]],
     meet: Sequence[Sequence[int]],
     join: Sequence[Sequence[int]],
 ) -> tuple[int, int, int, bool, bool, bool]:
-    """Trim statistics of a finite lattice given by the up-set bitmask of each
-    element and its meet and join tables; the covers are read off the up-sets
-    by _covers.
+    """Trim statistics of a finite lattice given as a threshold order by the
+    levels of each element, as _up_sets and _covers read them, and by its
+    meet and join tables.
 
     Returns the numbers of join- and meet-irreducibles and of elements on a
     longest chain; whether some longest chain is all left modular; whether
     every element on a longest chain (the spine) is left modular; and whether
     the spine is a distributive sublattice.
     """
-    size = len(up)
-    pairs = _covers(up)
+    size = len(levels)
+    up = _up_sets(levels)
+    pairs = _covers(levels)
     succ = _cover_lists(size, pairs)
     pred = _cover_lists(size, ((hi, lo) for lo, hi in pairs))
     join_irr = sum(1 for v in range(size) if len(pred[v]) == 1)
@@ -259,11 +277,13 @@ def build_poset(
 ) -> PosetModel:
     """Group diagrams by Schur expansion and order the classes.
 
-    Each expansion is computed once; classes are compared coefficientwise,
-    all at once, by _up_sets, which the label lattice shares: one bitmask
-    per coefficient that occurs, ORed from the top coefficient down.
-    Class lists and members are sorted by shape, so the model is
-    reproducible for a given input set.
+    Each expansion is computed once, and a diagram shares it with its
+    rotation and transpose (see expand); classes are compared
+    coefficientwise, all at once, by _up_sets, which the label lattice
+    shares: one bitmask per coefficient that occurs, ORed from the top
+    coefficient down.  _covers reads the Hasse diagram off masks built in a
+    linear extension by coefficient sum.  Class lists and members are sorted
+    by shape, so the model is reproducible for a given input set.
     """
     unique = sorted(set(diagrams), key=SkewDiagram.sort_key)
     if len({d.size for d in unique}) > 1:
@@ -277,8 +297,11 @@ def build_poset(
 
     # All classes have one degree and distinct expansions, so class i sits
     # below j exactly when j's coefficient of each of i's terms is at least i's.
-    up = _up_sets([cls.expansion for cls in classes])
-    return PosetModel(classes, tuple(up), tuple(_covers(up)))
+    # The covers come first, so their up-sets (built in another index order)
+    # are freed before the model's own are built.
+    vectors = [cls.expansion for cls in classes]
+    hasse = tuple(_covers(vectors))
+    return PosetModel(classes, tuple(_up_sets(vectors)), hasse)
 
 
 def check_graded(model: PosetModel) -> bool:

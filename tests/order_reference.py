@@ -1,9 +1,11 @@
 """Brute-force order theory: the reference for the bitset order kernel.
 
-Every function reads a reflexive `leq` matrix and works by direct search:
-covers by looking for an element strictly between, chains by listing every
-saturated chain, bounds by listing every upper or lower bound.  Nothing here
-shares code with `schurpos.poset` or `schurpos.lattice`.
+Every function but `bitset_covers` reads a reflexive `leq` matrix and works
+by direct search: covers by looking for an element strictly between, chains
+by listing every saturated chain, bounds by listing every upper or lower
+bound.  `bitset_covers` reads up-set bitmasks, as the library does, but
+needs no linear extension.  Nothing here shares code with `schurpos.poset`
+or `schurpos.lattice`.
 """
 
 from itertools import combinations
@@ -20,6 +22,21 @@ def covers(leq):
         and leq[i][j]
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
     }
+
+
+def bitset_covers(up):
+    """Cover pairs (lower, upper) in increasing order from up-set bitmasks (bit
+    j of up[i] set when i <= j), in any index order: the transitive reduction
+    of Aho, Garey and Ullman.  Of the elements strictly above i, the covers
+    are those strictly above none of the others."""
+    pairs = []
+    for i, above in enumerate(up):
+        strict = rest = above & ~(1 << i)
+        for j in range(strict.bit_length()):
+            if strict >> j & 1 and rest >> j & 1:
+                rest &= ~(up[j] & ~(1 << j))
+        pairs.extend((i, j) for j in range(rest.bit_length()) if rest >> j & 1)
+    return pairs
 
 
 def saturated_chains(leq, start):

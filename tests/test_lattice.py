@@ -4,7 +4,7 @@ import dataclasses
 import time
 
 import pytest
-from order_reference import left_modular_set, trim_flags
+from order_reference import bitset_covers, left_modular_set, trim_flags
 from verify_reference import verify_bigdiff_reference, verify_onlycovers_reference
 
 from schurpos import lattice
@@ -41,9 +41,9 @@ from schurpos import (
     verify_mflemma,
     verify_onlycovers,
 )
-from schurpos.lattice import _FAMILIES, _label_up_sets, _pattern_params, _rank
+from schurpos.lattice import _FAMILIES, _label_levels, _pattern_params, _rank
 from schurpos.partitions import compositions_of, reverse
-from schurpos.poset import _bits, _left_modular
+from schurpos.poset import _bits, _covers, _left_modular, _up_sets
 
 
 # --- labels and their identifications ------------------------------------
@@ -427,7 +427,15 @@ def test_label_up_sets_match_the_pairwise_order():
             pairwise = [
                 sum(1 << j for j, y in enumerate(labels) if leq_s_closed(x, y)) for x in labels
             ]
-            assert _label_up_sets(labels) == pairwise, (n, rows)
+            assert _up_sets(_label_levels(labels)) == pairwise, (n, rows)
+
+
+def test_label_covers_match_the_bitset_reference():
+    # Index order (a, b) is no linear extension of the zigzag chains.
+    for n in range(3, 25):
+        for rows in range(2, n):
+            levels = _label_levels(elements(n, rows))
+            assert _covers(levels) == bitset_covers(_up_sets(levels)), (n, rows)
 
 
 def test_cover_counts_at_the_featured_size():

@@ -12,9 +12,11 @@ from schurpos import (
     SchurVector,
     SkewDiagram,
     compare_vectors,
+    composition_of,
     enumerate_basic_skew,
     expand,
     is_multiplicity_free_vec,
+    is_ribbon,
     omega_vec,
     ribbon_of,
     rotate180,
@@ -132,9 +134,15 @@ def test_rotation_invariance():
 
 
 def test_transpose_conjugates_the_expansion():
+    # expand answers a transpose from the shape's own cache entry, so the
+    # engines are run directly, on both shapes.
     for n in range(1, 8):
         for d in enumerate_basic_skew(n, max_size=8):
-            assert expand(transpose(d)) == omega_vec(expand(d))
+            t = transpose(d)
+            assert _lr_expansion(t.outer, t.inner) == omega_vec(_lr_expansion(d.outer, d.inner))
+            if is_ribbon(d):
+                alpha, beta = composition_of(d), composition_of(t)
+                assert _ribbon_expansion(beta) == omega_vec(_ribbon_expansion(alpha))
 
 
 def test_ribbon_reversal_invariance():
@@ -161,6 +169,33 @@ def test_a_shape_and_its_rotation_share_one_engine_run(monkeypatch):
             assert expand(d) is expand(r) is expand(d)
             assert len(runs) == 1
         assert schurpos.lr._expansion.cache_info().currsize == 4
+    finally:
+        schurpos.lr._expansion.cache_clear()
+
+
+def test_the_four_images_of_a_shape_share_one_engine_run(monkeypatch):
+    runs = []
+    for name in ("_lr_expansion", "_ribbon_expansion"):
+        engine = getattr(schurpos.lr, name)
+        monkeypatch.setattr(
+            schurpos.lr, name, lambda *args, engine=engine: runs.append(args) or engine(*args)
+        )
+    # Not a ribbon, a ribbon, and a shape with as many rows as columns, whose
+    # images tie on rows and so are told apart by their keys.
+    shapes = (SkewDiagram((4, 3, 2), (2,)), ribbon_of((1, 2, 3)), SkewDiagram((3, 3, 1), (1,)))
+    assert shapes[2].num_rows == shapes[2].num_cols
+    try:
+        for d in shapes:
+            images = (d, rotate180(d), transpose(d), rotate180(transpose(d)))
+            assert len({(x.outer, x.inner) for x in images}) == 4
+            for first in images:
+                schurpos.lr._expansion.cache_clear()
+                runs.clear()
+                expand(first)
+                vecs = [expand(x) for x in images]
+                assert len(runs) == 1, (d, first)
+                assert vecs[0] is vecs[1] and vecs[2] is vecs[3]
+                assert vecs[2] == omega_vec(vecs[0])
     finally:
         schurpos.lr._expansion.cache_clear()
 

@@ -1,12 +1,14 @@
 """The Schur-positivity order on skew shapes and its finite posets."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
 from order_reference import (
+    bitset_covers,
     covers,
     is_convex,
     is_graded,
@@ -36,7 +38,7 @@ from schurpos import (
     ribbon_of,
 )
 from schurpos.partitions import compositions_of, dominance_leq, partitions_of, reverse
-from schurpos.poset import _left_modular, _trim_stats, _up_sets
+from schurpos.poset import _covers, _left_modular, _trim_stats, _up_sets
 
 
 def leq_of(model):
@@ -47,6 +49,12 @@ def leq_of(model):
 def up_of(leq):
     """Up-set bitmasks of a reflexive order given as a bool matrix."""
     return [sum(1 << j for j, below in enumerate(row) if below) for row in leq]
+
+
+def levels_of(leq):
+    """Levels whose threshold order (_up_sets, _covers) is the order given as
+    a bool matrix: element i holds each element at or below it at level 1."""
+    return [{k: 1 for k in range(len(leq)) if leq[k][i]} for i in range(len(leq))]
 
 
 # --- the necessary filter ------------------------------------------------
@@ -274,6 +282,48 @@ def test_up_sets_of_a_hand_built_family():
     assert _up_sets([]) == []
 
 
+def random_order(rng, size):
+    """A random reflexive order on 0..size-1 as a bool matrix: the transitive
+    closure of random pairs taken along a shuffled ranking, so that index
+    order is seldom a linear extension."""
+    rank = rng.sample(range(size), size)
+    density = rng.random()
+    leq = [
+        [i == j or (rank[i] < rank[j] and rng.random() < density) for j in range(size)]
+        for i in range(size)
+    ]
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                for j in range(size):
+                    leq[i][j] = leq[i][j] or leq[k][j]
+    return leq
+
+
+def test_covers_match_the_bitset_reference_on_random_orders():
+    rng = random.Random(2007)
+    for _ in range(300):
+        leq = random_order(rng, rng.randint(0, 24))
+        levels = levels_of(leq)
+        assert _up_sets(levels) == up_of(leq)
+        assert _covers(levels) == bitset_covers(up_of(leq)) == sorted(covers(leq))
+
+
+@pytest.mark.parametrize(
+    "diagrams",
+    [
+        lambda: enumerate_basic_skew(7),
+        lambda: [ribbon_of(alpha) for alpha in compositions_of(12)],
+    ],
+    ids=["P_7", "ribbons-12"],
+)
+def test_covers_match_the_bitset_reference_on_class_posets(diagrams):
+    model = build_poset(diagrams(), max_size=12)
+    vectors = [cls.expansion for cls in model.classes]
+    assert _up_sets(vectors) == list(model.up)
+    assert list(model.hasse) == _covers(vectors) == bitset_covers(model.up)
+
+
 def test_gradedness_flips_between_sizes_four_and_five():
     assert check_graded(known_poset(4))
     assert not check_graded(known_poset(5))
@@ -367,7 +417,7 @@ SMALL_LATTICES = {
 def test_trim_stats_match_brute_force_where_the_flags_fail(name, expected):
     leq, meet, join = lattice_tables(SMALL_LATTICES[name])
     assert trim_flags(leq) == expected
-    assert _trim_stats(up_of(leq), meet, join) == expected
+    assert _trim_stats(levels_of(leq), meet, join) == expected
 
 
 @pytest.mark.parametrize(
